@@ -151,6 +151,12 @@ def _load_state(cfg: dict, rng: np.random.Generator) -> state.PureState:
     )
 
 
+def _get(cfg: dict, key: str, default):
+    """cfg[key], or the default only when the key is unset (a 0 is kept)."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
 def _require_seed(cfg: dict) -> np.random.Generator:
     if cfg.get("seed") is None:
         raise ValidationError("--seed is mandatory for randomized commands")
@@ -182,7 +188,7 @@ def _cmd_gamma(cfg: dict) -> tuple[dict, dict]:
         return {"estimator": "exact", "gamma": state.gamma_exact(psi)}, {}
     rng = _require_seed(cfg)
     psi = _load_state(cfg, rng)
-    m = int(cfg.get("m") or 100_000)
+    m = int(_get(cfg, "m", 100_000))
     return {
         "estimator": "sampled",
         "gamma": sampling.estimate_gamma(psi, m, rng),
@@ -196,8 +202,8 @@ def _cmd_test(cfg: dict) -> tuple[dict, dict]:
     plan = sampling.plan_test(
         float(cfg["eps1"]),
         float(cfg["eps2"]),
-        float(cfg.get("C") or 1.0),
-        float(cfg.get("delta") or 1.0 / 3.0),
+        float(_get(cfg, "C", 1.0)),
+        float(_get(cfg, "delta", 1.0 / 3.0)),
     )
     if cfg.get("m_override"):
         plan = sampling.TestPlan(
@@ -234,7 +240,7 @@ def _cmd_fidelity(cfg: dict) -> tuple[dict, dict]:
 
 def _cmd_sandwich_sweep(cfg: dict) -> tuple[list, dict]:
     rng = _require_seed(cfg)
-    per_class = int(cfg.get("per_class") if cfg.get("per_class") is not None else 10)
+    per_class = int(_get(cfg, "per_class", 10))
     if per_class < 0:
         raise ValidationError(f"per-class count must be >= 0, got {per_class}")
     n_values = cfg.get("n_values") or [1, 2, 3, 4]
@@ -286,7 +292,7 @@ def _build_graph(cfg: dict) -> graphs.SimpleGraph:
 
 def _cmd_theta(cfg: dict) -> tuple[dict, dict]:
     g = _build_graph(cfg)
-    result = graphs.lovasz_theta(g, float(cfg.get("tol") or 1e-6))
+    result = graphs.lovasz_theta(g, float(_get(cfg, "tol", 1e-6)))
     if not result.converged:
         raise CertificateError(
             f"theta solver did not converge; residuals {result.residuals!r}"
@@ -314,8 +320,8 @@ def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
     cert = uncertainty.uncertainty_certificate(
         psi,
         labels,
-        theta_tol=float(cfg.get("theta_tol") or 1e-6),
-        restarts=int(cfg.get("restarts") or 8),
+        theta_tol=float(_get(cfg, "theta_tol", 1e-6)),
+        restarts=int(_get(cfg, "restarts", 8)),
         rng=rng,
     )
     return {

@@ -414,7 +414,13 @@ def enumerate_subspaces(two_n: int, dim: int | None = None) -> Iterator[tuple[in
 
 
 def enumerate_lagrangians(n: int) -> Iterator[GF2Subspace]:
-    """Yield every Lagrangian subspace of F2^(2n) exactly once (n <= 4)."""
+    """Yield every Lagrangian subspace of F2^(2n) exactly once (n <= 4).
+
+    Each Lagrangian is uniquely {(a, S a + c) : a in A, c in A^perp}, where
+    A <= F2^n is its x1-projection and S is a symmetric bilinear form on A
+    (Dehaene-De Moor 2003), so there are prod_{i=1..n} (2^i + 1) of them.
+    They come out sorted by canonical basis.
+    """
     if n > 4:
         raise CapExceededError(f"Lagrangian enumeration capped at n=4, got {n}")
     yield from _lagrangian_list(n)
@@ -434,19 +440,26 @@ def random_subspace(n: int, dim: int, rng) -> GF2Subspace:
 
 @lru_cache(maxsize=None)
 def _lagrangian_list(n: int) -> tuple[GF2Subspace, ...]:
-    # Breadth-first growth of isotropic subspaces, deduplicated by canonical basis.
-    level: set[tuple[int, ...]] = {()}
-    for _ in range(n):
-        nxt: set[tuple[int, ...]] = set()
-        for basis in level:
-            for cand in range(1, 1 << (2 * n)):
-                if _in_span(cand, basis):
-                    continue
-                if any(_form_bits(cand, b, n) for b in basis):
-                    continue
-                nxt.add(_reduce_rows(basis + (cand,)))
-        level = nxt
-    return tuple(GF2Subspace(b, n) for b in sorted(level))
+    bases = []
+    for d in range(n + 1):
+        sym_slots = [(i, j) for j in range(d) for i in range(j + 1)]
+        for a_rows in enumerate_subspaces(n, d):
+            # Rows are in reduced echelon form, so the pivot unit vectors are
+            # a dual basis: <a_j, e_(pivot i)> = delta_ij.
+            pivots = [row.bit_length() - 1 for row in a_rows]
+            perp = _reduce_rows(
+                c for c in range(1, 1 << n) if not any((c & a).bit_count() & 1 for a in a_rows)
+            )
+            zero_x1 = [c << n for c in perp]
+            for fill in range(1 << len(sym_slots)):  # one symmetric matrix M per fill
+                x2 = [0] * d
+                for bit, (i, j) in enumerate(sym_slots):
+                    if fill >> bit & 1:
+                        x2[j] |= 1 << pivots[i]
+                        x2[i] |= 1 << pivots[j]
+                rows = [a | (s << n) for a, s in zip(a_rows, x2)]
+                bases.append(_reduce_rows(rows + zero_x1))
+    return tuple(GF2Subspace(b, n) for b in sorted(bases))
 
 
 # ---------------------------------------------------------------------------

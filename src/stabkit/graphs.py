@@ -271,7 +271,10 @@ def parse_graph(text: str) -> SimpleGraph:
         parts = ln.split()
         if len(parts) != 2:
             raise ValidationError(f"bad edge line: {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValidationError(f"non-integer edge token: {ln!r}") from exc
         if not (0 <= i < order and 0 <= j < order) or i == j:
             raise ValidationError(f"edge out of range: {ln!r}")
         adj[i, j] = adj[j, i] = True

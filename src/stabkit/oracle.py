@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
 from .gf2 import GF2Subspace, WeylLabel, enumerate_lagrangians
-from .state import PureState, char_distribution, fwht, weyl_expectation_table, weyl_matrix
+from .state import PureState, _char_values, char_distribution, fwht
+from .state import weyl_expectation_table, weyl_matrix
 
 __all__ = [
     "ORACLE_QUBIT_CAP",
@@ -31,19 +32,31 @@ __all__ = [
 ]
 
 ORACLE_QUBIT_CAP = 4
+# Lagrangians per pass of stabilizer_fidelity_exact.  At n = 4 a pass's
+# temporaries are 512 x 16 doubles = 64 KiB, under malloc's 128 KiB mmap
+# threshold, so they are reused from the heap.  Whole-table (2295 x 16)
+# temporaries would be mapped and page-faulted afresh, ~300 faults a call.
+_ORACLE_ROWS = 512
 
 
 def weyl_product_phase(x: WeylLabel, y: WeylLabel) -> tuple[WeylLabel, int]:
     """W_x W_y = i^t W_(x+y); returns (x+y, t mod 4)."""
     if x.n != y.n:
         raise ValidationError(f"qubit-count mismatch: {x.n} vs {y.n}")
-    t = (
-        (x.x1 & x.x2).bit_count()
-        + (y.x1 & y.x2).bit_count()
-        + 2 * (x.x2 & y.x1).bit_count()
-        - ((x.x1 ^ y.x1) & (x.x2 ^ y.x2)).bit_count()
+    return x ^ y, int(_product_phase_bits(x.bits, y.bits, x.n))
+
+
+def _product_phase_bits(x, y, n: int):
+    """Phase exponent t of W_x W_y = i^t W_(x+y) on packed labels (ints or arrays)."""
+    mask = (1 << n) - 1
+    x1, x2, y1, y2 = x & mask, x >> n, y & mask, y >> n
+
+    def count(v):
+        return np.bitwise_count(v).astype(np.int64)
+
+    return (
+        count(x1 & x2) + count(y1 & y2) + 2 * count(x2 & y1) - count((x1 ^ y1) & (x2 ^ y2))
     ) % 4
-    return x ^ y, t
 
 
 def _require_lagrangian(V: GF2Subspace) -> None:
@@ -51,40 +64,45 @@ def _require_lagrangian(V: GF2Subspace) -> None:
         raise ValidationError("subspace is not Lagrangian")
 
 
-def _group_elements_and_signs(V: GF2Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Packed members of V (basis-combination order) and the base sign pattern.
+def _elements_and_signs(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed members and base sign patterns of many commuting groups at once.
 
-    Entry c is the product W_{b_i1} W_{b_i2} ... over the set bits of c,
-    which equals sign[c] * W_{elements[c]}; the products are Hermitian, so
-    every sign is +-1.
+    ``bases`` holds one generator list per row.  Entry c of a row is the
+    product of W_(b_i) over the set bits i of c, which equals
+    sign[c] * W_(elements[c]); the generators commute, so the products are
+    Hermitian and every sign is +-1.  Columns double one generator at a
+    time: appending b_j maps (e, t) to (e ^ b_j, t + phase(b_j, e)).
     """
-    n = V.n
-    count = 1 << V.dim
-    elements = np.zeros(count, dtype=np.int64)
-    phase_exp = np.zeros(count, dtype=np.int64)
-    for c in range(1, count):
-        low = c & -c
-        rest = c ^ low
-        gen = V.basis[low.bit_length() - 1]
-        prod, t = weyl_product_phase(
-            WeylLabel(gen, n), WeylLabel(int(elements[rest]), n)
-        )
-        elements[c] = prod.bits
-        phase_exp[c] = (phase_exp[rest] + t) % 4
+    elements = np.zeros((bases.shape[0], 1), dtype=np.int64)
+    phase_exp = np.zeros_like(elements)
+    for j in range(bases.shape[1]):
+        gen = bases[:, j : j + 1]
+        step = _product_phase_bits(gen, elements, n)
+        elements = np.concatenate((elements, elements ^ gen), axis=1)
+        phase_exp = np.concatenate((phase_exp, (phase_exp + step) % 4), axis=1)
     if np.any(phase_exp % 2):
         raise CertificateError("non-Hermitian product in a commuting group (engine bug)")
     signs = np.where(phase_exp == 0, 1.0, -1.0)
     return elements, signs
 
 
+def _group_elements_and_signs(V: GF2Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """Packed members of V (basis-combination order) and the base sign pattern."""
+    elements, signs = _elements_and_signs(np.array([V.basis], dtype=np.int64), V.n)
+    return elements[0], signs[0]
+
+
 @lru_cache(maxsize=8)
 def _lagrangian_table(n: int) -> tuple[tuple[GF2Subspace, ...], np.ndarray, np.ndarray]:
-    """All Lagrangians of F2^(2n) (lexicographic), stacked elements and signs."""
+    """All Lagrangians of F2^(2n), stacked elements and base signs.
+
+    Rows follow ``enumerate_lagrangians`` (direct (A, S) parametrisation,
+    sorted by canonical basis), so argmax tie-breaks are lexicographic; all
+    rows' elements and signs come from one vectorized doubling pass.
+    """
     subspaces = tuple(enumerate_lagrangians(n))
-    elements = np.zeros((len(subspaces), 1 << n), dtype=np.int64)
-    signs = np.zeros((len(subspaces), 1 << n), dtype=np.float64)
-    for i, V in enumerate(subspaces):
-        elements[i], signs[i] = _group_elements_and_signs(V)
+    bases = np.array([V.basis for V in subspaces], dtype=np.int64)
+    elements, signs = _elements_and_signs(bases, n)
     return subspaces, elements, signs
 
 
@@ -130,18 +148,21 @@ def stabilizer_fidelity_exact(state: PureState) -> FidelityReport:
         )
     subspaces, elements, signs = _lagrangian_table(state.n)
     expect = weyl_expectation_table(state)
-    fidelities = fwht(signs * expect[elements]) / (1 << state.n)
-    per_lagrangian = fidelities.max(axis=1)
+    p = _char_values(expect, state.n)
+    per_lagrangian = np.empty(len(subspaces))
+    masses = np.empty(len(subspaces))
+    for lo in range(0, len(subspaces), _ORACLE_ROWS):
+        rows = slice(lo, lo + _ORACLE_ROWS)
+        fidelities = fwht(signs[rows] * expect[elements[rows]]) / (1 << state.n)
+        per_lagrangian[rows] = fidelities.max(axis=1)
+        masses[rows] = p[elements[rows]].sum(axis=1)
     best = int(np.argmax(per_lagrangian))  # first max = lexicographically smallest
-    p = char_distribution(state)
-    masses = {
-        V: float(p.values[elements[i]].sum()) for i, V in enumerate(subspaces)
-    }
+    fidelities = fwht(signs[best] * expect[elements[best]]) / (1 << state.n)
     return FidelityReport(
         f_s=float(per_lagrangian[best]),
         argmax_lagrangian=subspaces[best],
-        argmax_character=int(np.argmax(fidelities[best])),
-        lagrangian_masses=masses,
+        argmax_character=int(np.argmax(fidelities)),
+        lagrangian_masses=dict(zip(subspaces, masses.tolist())),
     )
 
 

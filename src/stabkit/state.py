@@ -62,6 +62,8 @@ class PureState:
             raise ValidationError(
                 f"expected {1 << self.n} amplitudes for n={self.n}, got {amps.shape}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValidationError("state amplitudes must be finite (no NaN or inf)")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > _NORM_TOL:
             # Out-of-tolerance inputs are rejected, never silently renormalized.
@@ -194,10 +196,15 @@ def weyl_expectation_table(state: PureState) -> np.ndarray:
     return np.ascontiguousarray(table.real.T.reshape(-1))  # index = x1 | x2<<n
 
 
+def _char_values(expect: np.ndarray, n: int) -> np.ndarray:
+    """p(x) = 2^-n <psi|W_x|psi>^2 from an expectation table."""
+    return expect**2 / (1 << n)
+
+
 def char_distribution(state: PureState) -> DyadicTable:
     """Characteristic distribution p(x) = 2^-n <psi|W_x|psi>^2."""
     expect = weyl_expectation_table(state)
-    return DyadicTable(expect**2 / (1 << state.n), state.n, "char_dist")
+    return DyadicTable(_char_values(expect, state.n), state.n, "char_dist")
 
 
 def weyl_distribution(p: DyadicTable) -> DyadicTable:

@@ -36,3 +36,24 @@ def gf2_rank(rows: list[int]) -> int:
 
 def random_subspace(rng: np.random.Generator, n: int, dim: int) -> GF2Subspace:
     return gf2.random_subspace(n, dim, rng)
+
+
+def bfs_lagrangians(n: int) -> tuple[GF2Subspace, ...]:
+    """Every Lagrangian of F2^(2n), grown breadth-first from {0} and deduplicated.
+
+    Independent of the direct (A, S) enumeration in the package: at each
+    level every isotropic basis is extended by every commuting vector
+    outside its span, and the canonical bases are collected in a set.
+    """
+    level: set[tuple[int, ...]] = {()}
+    for _ in range(n):
+        nxt: set[tuple[int, ...]] = set()
+        for basis in level:
+            for cand in range(1, 1 << (2 * n)):
+                if gf2._in_span(cand, basis):
+                    continue
+                if any(gf2._form_bits(cand, b, n) for b in basis):
+                    continue
+                nxt.add(gf2._reduce_rows(basis + (cand,)))
+        level = nxt
+    return tuple(GF2Subspace(b, n) for b in sorted(level))

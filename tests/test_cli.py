@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +239,61 @@ def test_m_override(tmp_path):
     )
     assert code == 0
     assert json.loads(payload)["results"]["m_used"] == 25
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("fidelity_t_tensor_n4.json", ["fidelity", "--kind", "t_tensor", "--n", "4"]),
+        (
+            "sandwich_sweep_pc2_n4_s11.json",
+            ["sandwich-sweep", "--per-class", "2", "--n-values", "4", "--seed", "11"],
+        ),
+    ],
+)
+def test_golden_reports(tmp_path, golden, argv):
+    # Goldens were written by the breadth-first Lagrangian builder; the direct
+    # enumeration must keep every byte, argmax tie-breaks included.
+    code, payload = run_to_file(tmp_path, golden, argv)
+    assert code == 0
+    assert payload == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_state_file_rejects_non_finite(tmp_path, capsys, token):
+    state_path = tmp_path / "bad.json"
+    state_path.write_text('{"n": 1, "re": [%s, 0], "im": [0, 0]}' % token)
+    assert cli.main(["fidelity", "--state-file", str(state_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_theta_graph_file_non_integer_edge(tmp_path, capsys):
+    graph_path = tmp_path / "bad.txt"
+    graph_path.write_text("3\n0 1\n1 x\n")
+    assert cli.main(["theta", "--graph-file", str(graph_path)]) == 2
+    assert "non-integer edge token" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--kind", "haar", "--n", "1", "--seed", "1", "--m", "0"],
+        ["test", "--kind", "stabilizer", "--n", "1", "--eps1", "0.9", "--eps2", "1e-40",
+         "--seed", "1", "--C", "0"],
+        ["test", "--kind", "stabilizer", "--n", "1", "--eps1", "0.9", "--eps2", "1e-40",
+         "--seed", "1", "--delta", "0"],
+        ["theta", "--cycle", "5", "--tol", "0"],
+        ["uncertainty", "--kind", "haar", "--n", "1", "--random-labels", "2", "--seed", "1",
+         "--theta-tol", "0"],
+        ["uncertainty", "--kind", "haar", "--n", "1", "--random-labels", "2", "--seed", "1",
+         "--restarts", "0"],
+    ],
+    ids=["m", "C", "delta", "tol", "theta-tol", "restarts"],
+)
+def test_zero_flag_reaches_validator(capsys, argv):
+    # A 0 must not be swapped for the default; the callee rejects it.
+    assert cli.main(argv) == 2
+    assert "validation error" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import gf2_rank, random_subspace
+from conftest import bfs_lagrangians, gf2_rank, random_subspace
 from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import (
     GF2Subspace,
@@ -225,6 +225,17 @@ def test_lagrangian_counts():
     assert len(list(enumerate_lagrangians(1))) == 3
     assert len(list(enumerate_lagrangians(2))) == 15
     assert len(list(enumerate_lagrangians(3))) == 135
+    expected = 1
+    for n in range(1, 5):
+        expected *= (1 << n) + 1  # prod_{i<=n} (2^i + 1)
+        lagrangians = list(enumerate_lagrangians(n))
+        assert len(lagrangians) == len({V.basis for V in lagrangians}) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lagrangians_match_breadth_first_builder(n):
+    # Same set and same (sorted canonical basis) order as the BFS oracle.
+    assert tuple(enumerate_lagrangians(n)) == bfs_lagrangians(n)
 
 
 def test_lagrangian_count_n2_against_brute_force():

@@ -96,6 +96,25 @@ def test_character_fidelities_are_probabilities_and_parseval():
         assert float((fids**2).sum()) == pytest.approx(twirl_purity(psi, V), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_table_matches_per_lagrangian_loop(n):
+    # Reference: multiply the generators one at a time with weyl_product_phase.
+    from stabkit.oracle import _lagrangian_table
+
+    subspaces, elements, signs = _lagrangian_table(n)
+    assert elements.shape == signs.shape == (len(subspaces), 1 << n)
+    for row, V in enumerate(subspaces):
+        for c in range(1 << n):
+            prod, t = WeylLabel(0, n), 0
+            for i, gen in enumerate(V.basis):
+                if c >> i & 1:
+                    prod, step = weyl_product_phase(WeylLabel(gen, n), prod)
+                    t = (t + step) % 4
+            assert t in (0, 2)
+            assert elements[row, c] == prod.bits
+            assert signs[row, c] == (1.0 if t == 0 else -1.0)
+
+
 def test_twirl_purity_examples():
     assert twirl_purity(ZERO, V_Z) == pytest.approx(1.0)
     assert twirl_purity(H_STATE, V_X) == pytest.approx(0.75)

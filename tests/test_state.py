@@ -213,6 +213,13 @@ def test_purestate_validation():
         weyl_expectation_table(generate_state("haar", 9, seed=0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_purestate_rejects_non_finite(bad):
+    # NaN compares False against the norm tolerance, so it needs its own check.
+    with pytest.raises(ValidationError):
+        PureState(np.array([bad, 0], dtype=complex), 1)
+
+
 def test_dyadic_table_validation():
     with pytest.raises(ValidationError):
         DyadicTable(np.array([0.5, 0.5, 0.5, -0.5]), 1, "char_dist")
