@@ -36,18 +36,15 @@ from .state import (
     weyl_expectation,
 )
 from .sampling import (
-    BellRoundOutcome,
     BellSampler,
     TestOutcome,
     TestPlan,
-    bell_round,
     estimate_gamma,
     plan_test,
     run_tolerant_test,
 )
 from .oracle import (
     FidelityReport,
-    best_character_fidelity,
     lagrangian_mass,
     stabilizer_fidelity_exact,
     twirl_purity,

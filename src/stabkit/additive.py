@@ -116,6 +116,8 @@ def extract_nearly_linear_set(
     closure probability reaches gamma/6, or the cap runs out (failure flag;
     expected when 2^n is far below the regime the guarantee needs).
     """
+    if retry_cap < 1:
+        raise ValidationError(f"retry cap must be >= 1, got {retry_cap}")
     exact = gamma_exact(state)
     if gamma > exact + 1e-9:
         warnings.warn(
@@ -150,7 +152,6 @@ def extract_nearly_linear_set(
             best.closure_prob,
         ):
             best = candidate
-    assert best is not None
     return ExtractionReport(
         best.set, best.size, best.min_mass, best.closure_prob, False, retry_cap
     )
@@ -161,6 +162,10 @@ def sumset_doubling(S: GF2Set) -> dict:
     counts = representation_counts(S)
     sumset = GF2Set(counts["r"].values > 0.5, S.n)
     return {"sumset": sumset, "doubling": sumset.size / S.size}
+
+
+# A pair a, b of B is an edge when r(a+b) >= _HEAVY_FRACTION * eps^2 |S|.
+_HEAVY_FRACTION = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
@@ -176,20 +181,22 @@ def bsg_extract(
     eps: float,
     rng: np.random.Generator,
     trials: int = 500,
-    heavy_fraction: float = 1.0 / 16.0,
     degree_fraction: float = 0.75,
 ) -> BsgResult:
     """Constructive BSG step: a large small-doubling subset of a nearly-closed set.
 
     Each trial draws Z from S, forms B = S n (S+Z), links a, b in B when
-    r(a+b) >= heavy_fraction * eps^2 |S|, and keeps the vertices of degree
-    >= degree_fraction * |B| (defaults are the proof's 1/16 and 3/4; both
-    are overridable for experimentation).  The first candidate with
+    r(a+b) >= eps^2 |S| / 16, and keeps the vertices of degree
+    >= degree_fraction * |B| (the proof's 1/16 and 3/4; the degree
+    fraction is overridable for experimentation).  The first candidate with
     |S'| >= (eps/(2 sqrt 2))|S| and doubling at most 8 eps^-6 is returned;
-    otherwise the best candidate comes back with the failure flag set.
+    otherwise the best candidate comes back with the failure flag set.  A
+    trial whose B is empty counts as a failed candidate.
     """
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must be in (0,1], got {eps}")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     counts = representation_counts(S)
     if counts["closure_prob"] < eps - 1e-12:
         raise ValidationError(
@@ -197,7 +204,7 @@ def bsg_extract(
         )
     size = S.size
     r = counts["r"].values
-    heavy_pair = r >= heavy_fraction * eps * eps * size
+    heavy_pair = r >= _HEAVY_FRACTION * eps * eps * size
     member_idx = S.indices()
     size_goal = eps / (2.0 * np.sqrt(2.0)) * size
     doubling_goal = 8.0 * eps**-6
@@ -207,17 +214,14 @@ def bsg_extract(
         z = int(member_idx[rng.integers(size)])
         b_mask = S.members & S.members[np.arange(S.members.size) ^ z]
         b_idx = np.flatnonzero(b_mask)
-        if b_idx.size == 0:
-            continue
-        degrees = heavy_pair[b_idx[:, None] ^ b_idx[None, :]].sum(axis=1)
+        edges = heavy_pair[b_idx[:, None] ^ b_idx[None, :]]
+        degrees = edges.sum(axis=1)
         keep = degrees >= degree_fraction * b_idx.size
         s_prime_idx = b_idx[keep]
         stats = {
             "trial": trial,
             "b_size": int(b_idx.size),
-            "edge_density": float(
-                heavy_pair[b_idx[:, None] ^ b_idx[None, :]].mean()
-            ),
+            "edge_density": float(edges.mean()) if b_idx.size else 0.0,
             "degree_histogram": np.bincount(degrees).tolist(),
             "s_prime_size": int(s_prime_idx.size),
         }
@@ -235,7 +239,6 @@ def bsg_extract(
             return candidate
         if best is None or candidate.stats["s_prime_size"] > best.stats["s_prime_size"]:
             best = candidate
-    assert best is not None
     return best
 
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +90,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-@dataclass
+@dataclasses.dataclass
 class Report:
     command: str
     config: dict
@@ -137,41 +136,38 @@ def emit_report(report: Report, fmt: str = "json", path: str | None = None) -> N
 _STATE_KINDS = ("stabilizer", "haar", "t_tensor", "noisy_stabilizer")
 
 
-def _load_state(cfg: dict, rng: np.random.Generator) -> state.PureState:
-    if cfg.get("state_file"):
-        with open(cfg["state_file"], encoding="ascii") as handle:
-            return state.state_from_json_dict(json.load(handle))
-    kind = cfg.get("kind")
-    if kind not in _STATE_KINDS:
-        raise ValidationError(f"kind must be one of {_STATE_KINDS}, got {kind!r}")
-    if cfg.get("n") is None:
-        raise ValidationError("--n is required when generating a state")
-    return state.generate_state(
-        kind, int(cfg["n"]), noise=float(cfg.get("noise") or 0.0), rng=rng
-    )
-
-
 def _get(cfg: dict, key: str, default):
-    """cfg[key], or the default only when the key is unset (a 0 is kept)."""
-    value = cfg.get(key)
+    """cfg[key], or the default only when the flag is unset (a 0 is kept).
+
+    For defaults that depend on the branch taken; argparse holds none for
+    these flags, so the config echo lists them only when they were given.
+    """
+    value = cfg[key]
     return default if value is None else value
 
 
 def _require_seed(cfg: dict) -> np.random.Generator:
-    if cfg.get("seed") is None:
+    if cfg["seed"] is None:
         raise ValidationError("--seed is mandatory for randomized commands")
-    return np.random.default_rng(int(cfg["seed"]))
+    return np.random.default_rng(cfg["seed"])
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("STABKIT_THREADS", "")
-    try:
-        cap = int(raw) if raw else 1
-    except ValueError as exc:
-        raise ValidationError(f"STABKIT_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValidationError(f"STABKIT_THREADS must be >= 1, got {cap}")
-    return cap
+def _load_state(cfg: dict, rng: np.random.Generator | None = None) -> state.PureState:
+    """The input state: read from --state-file, or generated from --kind and --n.
+
+    Without a stream from the command, --seed seeds the generation.  A seed
+    is mandatory unless the state comes from --state-file or is t_tensor.
+    """
+    if cfg["state_file"]:
+        with open(cfg["state_file"], encoding="ascii") as handle:
+            return state.state_from_json_dict(json.load(handle))
+    if cfg["kind"] is None:
+        raise ValidationError("--kind or --state-file is required")
+    if cfg["n"] is None:
+        raise ValidationError("--n is required when generating a state")
+    return state.generate_state(
+        cfg["kind"], cfg["n"], cfg["seed"], noise=_get(cfg, "noise", 0.0), rng=rng
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +176,11 @@ def _thread_cap() -> int:
 
 
 def _cmd_gamma(cfg: dict) -> tuple[dict, dict]:
-    if cfg.get("exact"):
-        rng = np.random.default_rng(int(cfg["seed"])) if cfg.get("seed") is not None else None
-        if rng is None and cfg.get("kind") != "t_tensor" and not cfg.get("state_file"):
-            raise ValidationError("--seed is mandatory unless the state is deterministic")
-        psi = _load_state(cfg, rng if rng is not None else np.random.default_rng(0))
-        return {"estimator": "exact", "gamma": state.gamma_exact(psi)}, {}
+    if cfg["exact"]:
+        return {"estimator": "exact", "gamma": state.gamma_exact(_load_state(cfg))}, {}
     rng = _require_seed(cfg)
     psi = _load_state(cfg, rng)
-    m = int(_get(cfg, "m", 100_000))
+    m = _get(cfg, "m", 100_000)
     return {
         "estimator": "sampled",
         "gamma": sampling.estimate_gamma(psi, m, rng),
@@ -199,18 +191,9 @@ def _cmd_gamma(cfg: dict) -> tuple[dict, dict]:
 def _cmd_test(cfg: dict) -> tuple[dict, dict]:
     rng = _require_seed(cfg)
     psi = _load_state(cfg, rng)
-    plan = sampling.plan_test(
-        float(cfg["eps1"]),
-        float(cfg["eps2"]),
-        float(_get(cfg, "C", 1.0)),
-        float(_get(cfg, "delta", 1.0 / 3.0)),
-    )
-    if cfg.get("m_override"):
-        plan = sampling.TestPlan(
-            eps1=plan.eps1, eps2=plan.eps2, C=plan.C, delta=plan.delta,
-            D1=plan.D1, D2=plan.D2, D=plan.D, m=int(cfg["m_override"]),
-            half_gap=plan.half_gap,
-        )
+    plan = sampling.plan_test(cfg["eps1"], cfg["eps2"], cfg["C"], cfg["delta"])
+    if cfg["m_override"] is not None:
+        plan = dataclasses.replace(plan, m=cfg["m_override"])
     outcome = sampling.run_tolerant_test(psi, plan, rng)
     return {
         "decision": outcome.decision,
@@ -224,10 +207,7 @@ def _cmd_test(cfg: dict) -> tuple[dict, dict]:
 
 
 def _cmd_fidelity(cfg: dict) -> tuple[dict, dict]:
-    rng = np.random.default_rng(int(cfg["seed"])) if cfg.get("seed") is not None else None
-    if rng is None and cfg.get("kind") not in (None, "t_tensor") and not cfg.get("state_file"):
-        raise ValidationError("--seed is mandatory unless the state is deterministic")
-    psi = _load_state(cfg, rng if rng is not None else np.random.default_rng(0))
+    psi = _load_state(cfg)
     report = oracle.stabilizer_fidelity_exact(psi)
     best = report.argmax_lagrangian
     return {
@@ -240,15 +220,14 @@ def _cmd_fidelity(cfg: dict) -> tuple[dict, dict]:
 
 def _cmd_sandwich_sweep(cfg: dict) -> tuple[list, dict]:
     rng = _require_seed(cfg)
-    per_class = int(_get(cfg, "per_class", 10))
+    per_class, n_values = cfg["per_class"], cfg["n_values"]
     if per_class < 0:
         raise ValidationError(f"per-class count must be >= 0, got {per_class}")
-    n_values = cfg.get("n_values") or [1, 2, 3, 4]
     rows = []
     worst = -np.inf
     for kind in ("haar", "noisy_stabilizer", "stabilizer"):
         for idx in range(per_class):
-            n = int(n_values[idx % len(n_values)])
+            n = n_values[idx % len(n_values)]
             noise = 0.05 + 0.45 * (idx / max(per_class - 1, 1)) if kind == "noisy_stabilizer" else 0.0
             psi = state.generate_state(kind, n, noise=noise, rng=rng)
             gamma = state.gamma_exact(psi)
@@ -271,14 +250,14 @@ def _cmd_sandwich_sweep(cfg: dict) -> tuple[list, dict]:
 
 
 def _build_graph(cfg: dict) -> graphs.SimpleGraph:
-    sources = [key for key in ("pauli_graph", "symplectic_graph", "complete", "empty", "cycle", "graph_file") if cfg.get(key)]
+    sources = [key for key in ("pauli_graph", "symplectic_graph", "complete", "empty", "cycle", "graph_file") if cfg[key] is not None]
     if len(sources) != 1:
         raise ValidationError(f"need exactly one graph source, got {sources}")
     key = sources[0]
     if key == "graph_file":
         with open(cfg[key], encoding="ascii") as handle:
             return graphs.parse_graph(handle.read())
-    value = int(cfg[key])
+    value = cfg[key]
     if key == "pauli_graph":
         return graphs.pauli_group_graph(value)
     if key == "symplectic_graph":
@@ -292,7 +271,7 @@ def _build_graph(cfg: dict) -> graphs.SimpleGraph:
 
 def _cmd_theta(cfg: dict) -> tuple[dict, dict]:
     g = _build_graph(cfg)
-    result = graphs.lovasz_theta(g, float(_get(cfg, "tol", 1e-6)))
+    result = graphs.lovasz_theta(g, cfg["tol"])
     if not result.converged:
         raise CertificateError(
             f"theta solver did not converge; residuals {result.residuals!r}"
@@ -308,11 +287,11 @@ def _cmd_theta(cfg: dict) -> tuple[dict, dict]:
 def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
     rng = _require_seed(cfg)
     psi = _load_state(cfg, rng)
-    if cfg.get("labels_file"):
+    if cfg["labels_file"]:
         with open(cfg["labels_file"], encoding="ascii") as handle:
             labels = [gf2.WeylLabel.from_string(ln) for ln in handle if ln.strip()]
     else:
-        count = int(cfg.get("random_labels") or 8)
+        count = _get(cfg, "random_labels", 8)
         if count > 1 << (2 * psi.n):
             raise ValidationError(f"cannot draw {count} distinct labels at n={psi.n}")
         picks = rng.choice(1 << (2 * psi.n), size=count, replace=False)
@@ -320,8 +299,8 @@ def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
     cert = uncertainty.uncertainty_certificate(
         psi,
         labels,
-        theta_tol=float(_get(cfg, "theta_tol", 1e-6)),
-        restarts=int(_get(cfg, "restarts", 8)),
+        theta_tol=cfg["theta_tol"],
+        restarts=cfg["restarts"],
         rng=rng,
     )
     return {
@@ -336,10 +315,8 @@ def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
 def _cmd_extract(cfg: dict) -> tuple[dict, dict]:
     rng = _require_seed(cfg)
     psi = _load_state(cfg, rng)
-    gamma = float(cfg["gamma"]) if cfg.get("gamma") is not None else state.gamma_exact(psi)
-    report = additive.extract_nearly_linear_set(
-        psi, gamma, rng, retry_cap=int(cfg.get("retry_cap") or 200)
-    )
+    gamma = _get(cfg, "gamma", state.gamma_exact(psi))  # cached on psi; extraction needs it too
+    report = additive.extract_nearly_linear_set(psi, gamma, rng, retry_cap=cfg["retry_cap"])
     return {
         "gamma": gamma,
         "size": report.size,
@@ -353,23 +330,22 @@ def _cmd_extract(cfg: dict) -> tuple[dict, dict]:
 
 def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
     rng = _require_seed(cfg)
-    if cfg.get("set_file"):
+    if cfg["set_file"]:
         with open(cfg["set_file"], encoding="ascii") as handle:
             S = additive.parse_set(handle.read())
     else:
-        if cfg.get("n") is None:
+        if cfg["n"] is None:
             raise ValidationError("--n is required without --set-file")
-        n = int(cfg["n"])
-        V = gf2.random_subspace(n, int(cfg.get("subspace_dim") or n), rng)
+        n = cfg["n"]
+        V = gf2.random_subspace(n, _get(cfg, "subspace_dim", n), rng)
         members = set(V.element_bits)
-        junk = int(cfg.get("junk") or 0)
-        while len(members) < V.size + junk:
+        while len(members) < V.size + cfg["junk"]:
             members.add(int(rng.integers(1 << (2 * n))))
         S = additive.GF2Set.from_indices(members, n)
-    eps = float(cfg["eps"]) if cfg.get("eps") is not None else (
+    eps = cfg["eps"] if cfg["eps"] is not None else (
         additive.representation_counts(S)["closure_prob"]
     )
-    result = additive.bsg_extract(S, eps, rng, trials=int(cfg.get("trials") or 500))
+    result = additive.bsg_extract(S, eps, rng, trials=cfg["trials"])
     payload = {
         "eps": eps,
         "set_size": S.size,
@@ -379,7 +355,7 @@ def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
         "s_prime": [lab.to_string() for lab in result.s_prime.labels()],
         "stats": result.stats,
     }
-    if cfg.get("pfr_search") and result.s_prime.size:
+    if cfg["pfr_search"] and result.s_prime.size:
         cover = additive.brute_force_subspace_cover(result.s_prime)
         payload["pfr_search"] = {
             "subspace": [
@@ -393,15 +369,15 @@ def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
 
 
 def _cmd_cover(cfg: dict) -> tuple[dict, dict]:
-    if cfg.get("subspace_file"):
+    if cfg["subspace_file"]:
         with open(cfg["subspace_file"], encoding="ascii") as handle:
             V = gf2.parse_subspace(handle.read())
     else:
         rng = _require_seed(cfg)
-        if cfg.get("n") is None:
+        if cfg["n"] is None:
             raise ValidationError("--n is required without --subspace-file")
-        n = int(cfg["n"])
-        V = gf2.random_subspace(n, int(cfg.get("dim") or n), rng)
+        n = cfg["n"]
+        V = gf2.random_subspace(n, _get(cfg, "dim", n), rng)
     parts = gf2.isotropic_cover(V)
     union = set()
     for part in parts:
@@ -442,14 +418,14 @@ _CSV_HEADERS = {
 
 def run_experiment(config: dict) -> Report:
     """Dispatch a validated config to its command; all randomness comes from the seed."""
-    command = config.get("command")
+    command = config["command"]
     if command not in _COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
     started = time.perf_counter()
     results, summary = _COMMANDS[command](config)
     elapsed = time.perf_counter() - started
     echo = {k: v for k, v in sorted(config.items()) if v is not None and k != "command"}
-    echo["threads"] = min(1, _thread_cap())
+    echo["threads"] = 1  # computation is single-threaded; kept so report bytes stay stable
     return Report(
         command=command,
         config=echo,
@@ -476,7 +452,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabkit", description="Stabilizer-testing experiment runner"
     )
-    parser.add_argument("--config", help="JSON config file; explicit flags win")
+    parser.add_argument(
+        "--config", help="JSON file of flag values, parsed like flags; command-line flags win"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = {"--seed": dict(type=int), "--out": dict(), "--format": dict(choices=("json", "csv"), default="json")}
@@ -551,21 +529,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _config_flags(file_cfg: dict) -> list[str]:
+    """Config-file entries as flags: true sets a switch, false and null are unset."""
+    flags = []
+    for key, value in file_cfg.items():
+        flag = "--" + str(key).replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flags.append(f"{flag}={text}")
+    return flags
+
+
+def _parse_config(argv: list[str]) -> dict:
+    """Command line and --config file, resolved in one argparse pass.
+
+    The file's values become flags placed right after the command name, so
+    they meet the same types and choices as typed flags, and a flag given on
+    the command line, in either the --C 1 or the --C=1 form, comes later and
+    wins.
+    """
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = vars(args)
-    config_path = config.pop("config", None)
-    if config_path:
-        with open(config_path, encoding="ascii") as handle:
-            file_cfg = json.load(handle)
-        for key, value in file_cfg.items():
-            flag = "--" + str(key).replace("_", "-")
-            if flag not in argv:  # explicit flags win over the config file
-                config[key] = value
-    out_path = config.pop("out", None)
-    fmt = config.pop("format", "json") or "json"
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config:
+        try:
+            with open(known.config, encoding="ascii") as handle:
+                file_cfg = json.load(handle)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read config file: {exc}")
+        if not isinstance(file_cfg, dict):
+            parser.error("config file must hold a JSON object")
+        rest[1:1] = _config_flags(file_cfg)
+    config = vars(parser.parse_args(rest))
+    del config["config"]
+    return config
+
+
+def main(argv: list[str] | None = None) -> int:
+    config = _parse_config(list(sys.argv[1:] if argv is None else argv))
+    out_path = config.pop("out")
+    fmt = config.pop("format")
     try:
         report = run_experiment(config)
         emit_report(report, fmt, out_path)

@@ -18,15 +18,13 @@ import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
 from .gf2 import GF2Subspace, WeylLabel, enumerate_lagrangians
-from .state import PureState, _char_values, char_distribution, fwht
-from .state import weyl_expectation_table, weyl_matrix
+from .state import PureState, char_distribution, fwht, weyl_matrix
 
 __all__ = [
     "ORACLE_QUBIT_CAP",
     "FidelityReport",
     "weyl_product_phase",
     "lagrangian_mass",
-    "best_character_fidelity",
     "stabilizer_fidelity_exact",
     "twirl_purity",
 ]
@@ -86,12 +84,6 @@ def _elements_and_signs(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return elements, signs
 
 
-def _group_elements_and_signs(V: GF2Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Packed members of V (basis-combination order) and the base sign pattern."""
-    elements, signs = _elements_and_signs(np.array([V.basis], dtype=np.int64), V.n)
-    return elements[0], signs[0]
-
-
 @lru_cache(maxsize=8)
 def _lagrangian_table(n: int) -> tuple[tuple[GF2Subspace, ...], np.ndarray, np.ndarray]:
     """All Lagrangians of F2^(2n), stacked elements and base signs.
@@ -123,23 +115,6 @@ def lagrangian_mass(state: PureState, V: GF2Subspace) -> float:
     return float(p.values[np.fromiter(V.element_bits, dtype=np.int64)].sum())
 
 
-def best_character_fidelity(state: PureState, V: GF2Subspace) -> dict:
-    """Max fidelity against the 2^n stabilizer states whose group is +-V.
-
-    Computed as max_t 2^-n sum_c s0(c) (-1)^(t.c) <W_elem(c)> over the
-    character index t, one Walsh-Hadamard transform of the signed
-    expectations.
-    """
-    _require_lagrangian(V)
-    if state.n != V.n:
-        raise ValidationError(f"qubit-count mismatch: state n={state.n}, V n={V.n}")
-    expect = weyl_expectation_table(state)
-    elements, signs = _group_elements_and_signs(V)
-    fidelities = fwht(signs * expect[elements]) / (1 << V.n)
-    t = int(np.argmax(fidelities))
-    return {"fidelity": float(fidelities[t]), "character": t}
-
-
 def stabilizer_fidelity_exact(state: PureState) -> FidelityReport:
     """Exhaustive max |<psi|S>|^2 over all stabilizer states (n <= 4)."""
     if state.n > ORACLE_QUBIT_CAP:
@@ -147,8 +122,8 @@ def stabilizer_fidelity_exact(state: PureState) -> FidelityReport:
             f"exhaustive oracle capped at n={ORACLE_QUBIT_CAP}, got {state.n}"
         )
     subspaces, elements, signs = _lagrangian_table(state.n)
-    expect = weyl_expectation_table(state)
-    p = _char_values(expect, state.n)
+    expect = state.expectations
+    p = char_distribution(state).values
     per_lagrangian = np.empty(len(subspaces))
     masses = np.empty(len(subspaces))
     for lo in range(0, len(subspaces), _ORACLE_ROWS):

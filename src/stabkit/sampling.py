@@ -17,34 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gf2 import WeylLabel
 from .state import PureState, char_distribution
 
 __all__ = [
-    "BellRoundOutcome",
     "BellSampler",
     "TestPlan",
     "TestOutcome",
-    "bell_round",
     "estimate_gamma",
     "plan_test",
     "run_tolerant_test",
 ]
 
 
-@dataclass(frozen=True)
-class BellRoundOutcome:
-    """One difference sample plus its accept bit."""
-
-    a: WeylLabel
-    accept: int
-
-
 class BellSampler:
-    """Caches the p table (and its CDF) so repeated rounds are cheap."""
+    """Holds the state's p table and its CDF so repeated rounds are cheap."""
 
     def __init__(self, state: PureState):
-        self.state = state
         self.p = char_distribution(state)
         self._cdf = np.cumsum(self.p.values)
         self._cdf[-1] = 1.0
@@ -62,15 +50,6 @@ class BellSampler:
         a = x ^ y
         accepts = rng.random(count) < 0.5 * (1.0 + self._expect_sq[a])
         return a, accepts.astype(np.int64)
-
-    def round(self, rng: np.random.Generator) -> BellRoundOutcome:
-        a, accept = self.rounds(1, rng)
-        return BellRoundOutcome(WeylLabel(int(a[0]), self.state.n), int(accept[0]))
-
-
-def bell_round(state: PureState, rng: np.random.Generator) -> BellRoundOutcome:
-    """One Bell difference round (builds a throwaway sampler; batch via BellSampler)."""
-    return BellSampler(state).round(rng)
 
 
 def estimate_gamma(state: PureState, m: int, rng: np.random.Generator) -> float:

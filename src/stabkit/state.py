@@ -9,6 +9,7 @@ construction, in O(4^n n), and the dyadic self-convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -75,6 +76,27 @@ class PureState:
     @property
     def dim(self) -> int:
         return 1 << self.n
+
+    # The per-state tables, each built once on first use and shared by every
+    # consumer (oracle, sampler, extraction); read them, never write them.
+
+    @cached_property
+    def expectations(self) -> np.ndarray:
+        """All 4^n expectations <psi|W_x|psi>, indexed by packed label bits."""
+        table = weyl_expectation_table(self)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def char_dist(self) -> "DyadicTable":
+        """Characteristic distribution p(x) = 2^-n <psi|W_x|psi>^2."""
+        return DyadicTable(self.expectations**2 / self.dim, self.n, "char_dist")
+
+    @cached_property
+    def gamma(self) -> float:
+        """E_{x~q}[2^n p(x)] with q the Weyl distribution of p."""
+        p = self.char_dist
+        return float(np.dot(weyl_distribution(p).values, self.dim * p.values))
 
 
 TableKind = Literal["char_dist", "weyl_dist", "generic"]
@@ -196,15 +218,9 @@ def weyl_expectation_table(state: PureState) -> np.ndarray:
     return np.ascontiguousarray(table.real.T.reshape(-1))  # index = x1 | x2<<n
 
 
-def _char_values(expect: np.ndarray, n: int) -> np.ndarray:
-    """p(x) = 2^-n <psi|W_x|psi>^2 from an expectation table."""
-    return expect**2 / (1 << n)
-
-
 def char_distribution(state: PureState) -> DyadicTable:
-    """Characteristic distribution p(x) = 2^-n <psi|W_x|psi>^2."""
-    expect = weyl_expectation_table(state)
-    return DyadicTable(_char_values(expect, state.n), state.n, "char_dist")
+    """Characteristic distribution p(x) = 2^-n <psi|W_x|psi>^2 (cached on the state)."""
+    return state.char_dist
 
 
 def weyl_distribution(p: DyadicTable) -> DyadicTable:
@@ -220,10 +236,8 @@ def weyl_distribution(p: DyadicTable) -> DyadicTable:
 
 
 def gamma_exact(state: PureState) -> float:
-    """E_{x~q}[2^n p(x)], the acceptance-rate excess the sampler estimates."""
-    p = char_distribution(state)
-    q = weyl_distribution(p)
-    return float(np.dot(q.values, (1 << state.n) * p.values))
+    """E_{x~q}[2^n p(x)], the acceptance-rate excess the sampler estimates (cached)."""
+    return state.gamma
 
 
 def pad_with_zeros(state: PureState, extra: int) -> PureState:

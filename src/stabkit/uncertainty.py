@@ -30,6 +30,10 @@ __all__ = [
 
 HAMILTONIAN_QUBIT_CAP = 6
 _COEFF_NORM_TOL = 1e-10
+# Projected-gradient ascent: first trial step, stopping gradient norm, step cap.
+_ASCENT_STEP0 = 0.1
+_ASCENT_GRAD_TOL = 1e-9
+_ASCENT_MAX_STEPS = 500
 
 
 def _check_labels(labels: list[WeylLabel]) -> int:
@@ -91,18 +95,16 @@ def _extreme_eigpair(ham: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[idx]), vec
 
 
-def _ascend(
-    mats: np.ndarray, start: np.ndarray, step0: float, grad_tol: float, max_steps: int
-) -> tuple[float, np.ndarray]:
+def _ascend(mats: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
     a = start / np.linalg.norm(start)
     mu, vec = _extreme_eigpair(np.tensordot(a, mats, axes=1))
     best = mu * mu
-    for _ in range(max_steps):
+    for _ in range(_ASCENT_MAX_STEPS):
         grad = 2.0 * mu * np.real(np.einsum("i,kij,j->k", np.conj(vec), mats, vec))
         grad -= np.dot(grad, a) * a
-        if np.linalg.norm(grad) < grad_tol:
+        if np.linalg.norm(grad) < _ASCENT_GRAD_TOL:
             break
-        step = step0
+        step = _ASCENT_STEP0
         improved = False
         while step > 1e-12:
             cand = a + step * grad
@@ -123,9 +125,6 @@ def psi0_lower_bound(
     restarts: int = 64,
     rng: np.random.Generator | None = None,
     seed_starts: list[np.ndarray] | None = None,
-    step0: float = 0.1,
-    grad_tol: float = 1e-9,
-    max_steps: int = 500,
 ) -> dict:
     """Certified lower bound on the max squared operator norm over unit coefficients.
 
@@ -145,7 +144,7 @@ def psi0_lower_bound(
         starts.append(rng.normal(size=count))
     best_value, best_arg = -np.inf, None
     for start in starts:
-        value, arg = _ascend(mats, np.asarray(start, dtype=np.float64), step0, grad_tol, max_steps)
+        value, arg = _ascend(mats, np.asarray(start, dtype=np.float64))
         if value > best_value:
             best_value, best_arg = value, arg
     return {"value": float(best_value), "argmax": best_arg}

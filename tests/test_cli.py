@@ -141,6 +141,24 @@ def test_config_file_merging(tmp_path):
     assert doc["results"]["gamma"] == pytest.approx(0.625**2)
 
 
+def test_config_file_values_parse_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"C": "abc"}))
+    test_argv = ["test", "--kind", "stabilizer", "--n", "1", "--eps1", "0.9",
+                 "--eps2", "1e-40", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg)] + test_argv)
+    assert exc.value.code == 2  # argparse rejects the value, as it would a flag
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+    cfg.write_text(json.dumps({"C": 5, "delta": 0.25}))
+    code, payload = run_to_file(tmp_path, "c.json", ["--config", str(cfg)] + test_argv + ["--C=2"])
+    assert code == 0
+    doc = json.loads(payload)
+    assert doc["config"]["C"] == 2  # the --flag=value form wins over the file
+    assert doc["config"]["delta"] == 0.25
+
+
 def test_exit_codes(tmp_path, capsys):
     assert cli.main(["gamma", "--kind", "haar", "--n", "2"]) == 2  # missing seed
     assert cli.main(["fidelity", "--kind", "haar", "--n", "9", "--seed", "1"]) == 4
@@ -180,17 +198,6 @@ def test_empty_sweep_emits_header_only_csv(tmp_path):
     )
     assert code == 0
     assert payload.decode() == "state_id,n,gamma,f_s,gamma_to_sixth,ratio_f_over_g112\n"
-
-
-def test_thread_env_var_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("STABKIT_THREADS", "four")
-    assert cli.main(["gamma", "--kind", "t_tensor", "--n", "1", "--exact"]) == 2
-    monkeypatch.setenv("STABKIT_THREADS", "4")
-    code, _ = run_to_file(
-        tmp_path, "thr.json", ["gamma", "--kind", "t_tensor", "--n", "1", "--exact"]
-    )
-    assert code == 0
-    capsys.readouterr()
 
 
 def test_uncertainty_labels_file(tmp_path):
@@ -252,11 +259,34 @@ GOLDEN = Path(__file__).parent / "golden"
             "sandwich_sweep_pc2_n4_s11.json",
             ["sandwich-sweep", "--per-class", "2", "--n-values", "4", "--seed", "11"],
         ),
+        # The README's commands, except theta and uncertainty (iterative solvers).
+        ("gamma_t_tensor_n1_exact.json", ["gamma", "--kind", "t_tensor", "--n", "1", "--exact"]),
+        (
+            "gamma_haar_n4_m100000_s7.json",
+            ["gamma", "--kind", "haar", "--n", "4", "--m", "100000", "--seed", "7"],
+        ),
+        (
+            "test_noisy_stabilizer_n3_s7.json",
+            ["test", "--kind", "noisy_stabilizer", "--n", "3", "--noise", "0.02", "--eps1", "0.9",
+             "--eps2", "1e-40", "--C", "1", "--delta", "0.333", "--seed", "7"],
+        ),
+        ("fidelity_haar_n3_s1.json", ["fidelity", "--kind", "haar", "--n", "3", "--seed", "1"]),
+        (
+            "sandwich_sweep_pc25_s11.csv",
+            ["sandwich-sweep", "--per-class", "25", "--n-values", "1,2,3,4", "--seed", "11",
+             "--format", "csv"],
+        ),
+        ("extract_t_tensor_n4_s3.json", ["extract", "--kind", "t_tensor", "--n", "4", "--seed", "3"]),
+        (
+            "bsg_n4_d5_j4_s9.json",
+            ["bsg", "--n", "4", "--subspace-dim", "5", "--junk", "4", "--seed", "9"],
+        ),
+        ("cover_n3_d5_s2.json", ["cover", "--n", "3", "--dim", "5", "--seed", "2"]),
     ],
 )
 def test_golden_reports(tmp_path, golden, argv):
-    # Goldens were written by the breadth-first Lagrangian builder; the direct
-    # enumeration must keep every byte, argmax tie-breaks included.
+    # Each golden was written by an earlier version of the code; refactors must
+    # keep every byte, argmax tie-breaks and the config echo included.
     code, payload = run_to_file(tmp_path, golden, argv)
     assert code == 0
     assert payload == (GOLDEN / golden).read_bytes()
@@ -290,10 +320,35 @@ def test_theta_graph_file_non_integer_edge(tmp_path, capsys):
          "--theta-tol", "0"],
         ["uncertainty", "--kind", "haar", "--n", "1", "--random-labels", "2", "--seed", "1",
          "--restarts", "0"],
+        ["bsg", "--n", "2", "--subspace-dim", "2", "--seed", "1", "--trials", "0"],
+        ["extract", "--kind", "t_tensor", "--n", "2", "--seed", "1", "--retry-cap", "0"],
+        ["uncertainty", "--kind", "haar", "--n", "2", "--seed", "1", "--random-labels", "0"],
     ],
-    ids=["m", "C", "delta", "tol", "theta-tol", "restarts"],
+    ids=["m", "C", "delta", "tol", "theta-tol", "restarts", "trials", "retry-cap",
+         "random-labels"],
 )
 def test_zero_flag_reaches_validator(capsys, argv):
     # A 0 must not be swapped for the default; the callee rejects it.
     assert cli.main(argv) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+def test_cover_dim_zero_is_kept(tmp_path):
+    code, payload = run_to_file(tmp_path, "c0.json", ["cover", "--n", "2", "--dim", "0", "--seed", "1"])
+    assert code == 0
+    assert json.loads(payload)["results"]["dim"] == 0
+
+
+@pytest.mark.parametrize("seed", ["2", "3"])
+def test_bsg_all_trials_with_empty_b(tmp_path, seed):
+    # B = S n (S+z) is empty for z = 0010, the member these seeds draw first.
+    set_path = tmp_path / "s.txt"
+    set_path.write_text("1000\n0100\n1100\n0010\n")
+    code, payload = run_to_file(
+        tmp_path, "b.json", ["bsg", "--set-file", str(set_path), "--trials", "1", "--seed", seed]
+    )
+    assert code == 0
+    doc = json.loads(payload)["results"]
+    assert doc["succeeded"] is False
+    assert doc["z_used"] == "0010"
+    assert doc["stats"]["b_size"] == 0 and doc["s_prime_size"] == 0

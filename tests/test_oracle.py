@@ -8,13 +8,13 @@ import pytest
 from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import WeylLabel, enumerate_lagrangians, span_and_classify
 from stabkit.oracle import (
-    best_character_fidelity,
+    _lagrangian_table,
     lagrangian_mass,
     stabilizer_fidelity_exact,
     twirl_purity,
     weyl_product_phase,
 )
-from stabkit.state import PureState, generate_state
+from stabkit.state import PureState, fwht, generate_state, weyl_expectation_table
 
 ZERO = PureState(np.array([1, 0], dtype=complex), 1)
 ONE = PureState(np.array([0, 1], dtype=complex), 1)
@@ -41,13 +41,18 @@ def test_lagrangian_mass_examples():
         lagrangian_mass(ZERO, span_and_classify([WeylLabel(0, 1)]))  # not Lagrangian
 
 
-def test_best_character_fidelity_examples():
-    res = best_character_fidelity(ZERO, V_Z)
-    assert res["fidelity"] == pytest.approx(1.0) and res["character"] == 0
-    res = best_character_fidelity(ONE, V_Z)
-    assert res["fidelity"] == pytest.approx(1.0) and res["character"] == 1
-    res = best_character_fidelity(H_STATE, V_X)
-    assert res["fidelity"] == pytest.approx((1 + 1 / np.sqrt(2)) / 2)
+def test_argmax_character_examples():
+    # |0> and |1> share the group +-Z and differ in the character (the sign).
+    zero = stabilizer_fidelity_exact(ZERO)
+    assert zero.f_s == pytest.approx(1.0)
+    assert zero.argmax_lagrangian == V_Z and zero.argmax_character == 0
+    one = stabilizer_fidelity_exact(ONE)
+    assert one.f_s == pytest.approx(1.0)
+    assert one.argmax_lagrangian == V_Z and one.argmax_character == 1
+    # <X> = <Y> on the T state; the tie goes to the lexicographically first group.
+    h = stabilizer_fidelity_exact(H_STATE)
+    assert h.f_s == pytest.approx((1 + 1 / np.sqrt(2)) / 2)
+    assert h.argmax_lagrangian == V_X and h.argmax_character == 0
 
 
 def test_fidelity_examples():
@@ -74,24 +79,24 @@ def test_fidelity_report_dominates_masses_and_characters():
         psi = generate_state("haar", n, rng=rng)
         report = stabilizer_fidelity_exact(psi)
         assert report.f_s >= (1 << n) ** -1 - 1e-12
-        for V in enumerate_lagrangians(n):
+        table = weyl_expectation_table(psi)
+        subspaces, elements, signs = _lagrangian_table(n)
+        for row, V in enumerate(subspaces):
+            fids = fwht(signs[row] * table[elements[row]]) / (1 << n)
             assert report.f_s >= report.lagrangian_masses[V] - 1e-10
-            assert report.f_s >= best_character_fidelity(psi, V)["fidelity"] - 1e-10
+            assert report.f_s >= fids.max() - 1e-10
             assert report.lagrangian_masses[V] == pytest.approx(
                 lagrangian_mass(psi, V), abs=1e-12
             )
 
 
 def test_character_fidelities_are_probabilities_and_parseval():
-    from stabkit.oracle import _group_elements_and_signs
-    from stabkit.state import fwht, weyl_expectation_table
-
     rng = np.random.default_rng(2)
     psi = generate_state("haar", 2, rng=rng)
     table = weyl_expectation_table(psi)
-    for V in enumerate_lagrangians(2):
-        elements, signs = _group_elements_and_signs(V)
-        fids = fwht(signs * table[elements]) / 4
+    subspaces, elements, signs = _lagrangian_table(2)
+    for row, V in enumerate(subspaces):
+        fids = fwht(signs[row] * table[elements[row]]) / 4
         assert fids.min() >= -1e-10 and fids.max() <= 1.0 + 1e-10
         assert float((fids**2).sum()) == pytest.approx(twirl_purity(psi, V), abs=1e-9)
 
@@ -99,8 +104,6 @@ def test_character_fidelities_are_probabilities_and_parseval():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_table_matches_per_lagrangian_loop(n):
     # Reference: multiply the generators one at a time with weyl_product_phase.
-    from stabkit.oracle import _lagrangian_table
-
     subspaces, elements, signs = _lagrangian_table(n)
     assert elements.shape == signs.shape == (len(subspaces), 1 << n)
     for row, V in enumerate(subspaces):

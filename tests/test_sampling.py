@@ -10,7 +10,6 @@ import pytest
 from stabkit.errors import ValidationError
 from stabkit.sampling import (
     BellSampler,
-    bell_round,
     estimate_gamma,
     plan_test,
     run_tolerant_test,
@@ -30,12 +29,6 @@ def test_bell_round_on_computational_basis_state():
     labels, accepts = sampler.rounds(500, rng)
     assert accepts.min() == 1  # all group expectations are +-1
     assert np.all(labels & 0b11 == 0)  # stabilizer group of |00> is the Z block
-
-
-def test_bell_round_single_outcome():
-    outcome = bell_round(H_STATE, np.random.default_rng(1))
-    assert outcome.accept in (0, 1)
-    assert outcome.a.n == 1
 
 
 def test_accept_rate_matches_gamma():
