@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .gf2 import GF2Subspace, WeylLabel, enumerate_subspaces
+from .gf2 import GF2Subspace, WeylLabel, enumerate_subspaces, parse_labels
 from .state import DyadicTable, PureState, char_distribution, fwht, gamma_exact
 
 __all__ = [
@@ -164,8 +164,10 @@ def sumset_doubling(S: GF2Set) -> dict:
     return {"sumset": sumset, "doubling": sumset.size / S.size}
 
 
-# A pair a, b of B is an edge when r(a+b) >= _HEAVY_FRACTION * eps^2 |S|.
+# A pair a, b of B is an edge when r(a+b) >= _HEAVY_FRACTION * eps^2 |S|, and
+# S' keeps the vertices of degree >= _DEGREE_FRACTION * |B| (the proof's constants).
 _HEAVY_FRACTION = 1.0 / 16.0
+_DEGREE_FRACTION = 0.75
 
 
 @dataclass(frozen=True)
@@ -181,14 +183,12 @@ def bsg_extract(
     eps: float,
     rng: np.random.Generator,
     trials: int = 500,
-    degree_fraction: float = 0.75,
 ) -> BsgResult:
     """Constructive BSG step: a large small-doubling subset of a nearly-closed set.
 
     Each trial draws Z from S, forms B = S n (S+Z), links a, b in B when
-    r(a+b) >= eps^2 |S| / 16, and keeps the vertices of degree
-    >= degree_fraction * |B| (the proof's 1/16 and 3/4; the degree
-    fraction is overridable for experimentation).  The first candidate with
+    r(a+b) >= eps^2 |S| / 16, and keeps the vertices of degree >= 3|B|/4.
+    The first candidate with
     |S'| >= (eps/(2 sqrt 2))|S| and doubling at most 8 eps^-6 is returned;
     otherwise the best candidate comes back with the failure flag set.  A
     trial whose B is empty counts as a failed candidate.
@@ -216,7 +216,7 @@ def bsg_extract(
         b_idx = np.flatnonzero(b_mask)
         edges = heavy_pair[b_idx[:, None] ^ b_idx[None, :]]
         degrees = edges.sum(axis=1)
-        keep = degrees >= degree_fraction * b_idx.size
+        keep = degrees >= _DEGREE_FRACTION * b_idx.size
         s_prime_idx = b_idx[keep]
         stats = {
             "trial": trial,
@@ -242,6 +242,14 @@ def bsg_extract(
     return best
 
 
+def _coset_keys(indices: np.ndarray, basis: tuple[int, ...]) -> np.ndarray:
+    """One key per coset of span(basis): each index with the basis pivots cleared."""
+    keys = indices
+    for row in basis:
+        keys = np.where(keys & (1 << (row.bit_length() - 1)), keys ^ row, keys)
+    return keys
+
+
 def brute_force_subspace_cover(S: GF2Set) -> dict:
     """Tiny-n stand-in for the covering step of the small-doubling theory.
 
@@ -262,11 +270,7 @@ def brute_force_subspace_cover(S: GF2Set) -> dict:
     for basis in enumerate_subspaces(2 * S.n):
         if 1 << len(basis) > size:
             continue
-        keys = member_idx.copy()
-        for row in basis:
-            pivot = 1 << (row.bit_length() - 1)
-            keys = np.where(keys & pivot, keys ^ row, keys)
-        translate_count = int(np.unique(keys).size)
+        translate_count = int(np.unique(_coset_keys(member_idx, basis)).size)
         ranking = (translate_count, -len(basis), basis)
         if best is None or ranking < best:
             best = ranking
@@ -290,12 +294,7 @@ def find_heavy_translate(S: GF2Set, V: GF2Subspace) -> dict:
     member_idx = S.indices()
     if member_idx.size == 0:
         raise ValidationError("set must be nonempty")
-    # Bucket members by the pivot-cleared canonical form of their coset.
-    keys = member_idx.copy()
-    for row in V.basis:
-        pivot = 1 << (row.bit_length() - 1)
-        keys = np.where(keys & pivot, keys ^ row, keys)
-    uniq, counts = np.unique(keys, return_counts=True)
+    uniq, counts = np.unique(_coset_keys(member_idx, V.basis), return_counts=True)
     order = np.argmax(counts)
     best_key, overlap = int(uniq[order]), int(counts[order])
     rep = min(best_key ^ v for v in V.element_bits)
@@ -308,14 +307,8 @@ def find_heavy_translate(S: GF2Set, V: GF2Subspace) -> dict:
 
 
 def parse_set(text: str) -> GF2Set:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValidationError("empty set file")
-    labels = [WeylLabel.from_string(ln) for ln in lines]
-    n = labels[0].n
-    if any(lab.n != n for lab in labels):
-        raise ValidationError("set members mix lengths")
-    return GF2Set.from_indices([lab.bits for lab in labels], n)
+    labels = parse_labels(text)
+    return GF2Set.from_indices([lab.bits for lab in labels], labels[0].n)
 
 
 def format_set(S: GF2Set) -> str:

@@ -212,7 +212,7 @@ def _cmd_fidelity(cfg: dict) -> tuple[dict, dict]:
     best = report.argmax_lagrangian
     return {
         "f_s": report.f_s,
-        "argmax_lagrangian": [gf2.WeylLabel(b, best.n).to_string() for b in best.basis],
+        "argmax_lagrangian": [lab.to_string() for lab in best.labels()],
         "argmax_character": report.argmax_character,
         "n": psi.n,
     }, {}
@@ -246,7 +246,8 @@ def _cmd_sandwich_sweep(cfg: dict) -> tuple[list, dict]:
                 "gamma_to_sixth": sixth,
                 "ratio_f_over_g112": f_s / gamma**112 if gamma > 0 else float("inf"),
             })
-    return rows, {"count": len(rows), "fact16_max_violation": worst}
+    # An empty sweep has no worst case; null, not -Infinity, goes in the report.
+    return rows, {"count": len(rows), "fact16_max_violation": worst if rows else None}
 
 
 def _build_graph(cfg: dict) -> graphs.SimpleGraph:
@@ -289,10 +290,10 @@ def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
     psi = _load_state(cfg, rng)
     if cfg["labels_file"]:
         with open(cfg["labels_file"], encoding="ascii") as handle:
-            labels = [gf2.WeylLabel.from_string(ln) for ln in handle if ln.strip()]
+            labels = gf2.parse_labels(handle.read())
     else:
         count = _get(cfg, "random_labels", 8)
-        if count > 1 << (2 * psi.n):
+        if not 0 <= count <= 1 << (2 * psi.n):
             raise ValidationError(f"cannot draw {count} distinct labels at n={psi.n}")
         picks = rng.choice(1 << (2 * psi.n), size=count, replace=False)
         labels = [gf2.WeylLabel(int(b), psi.n) for b in picks]
@@ -338,6 +339,9 @@ def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
             raise ValidationError("--n is required without --set-file")
         n = cfg["n"]
         V = gf2.random_subspace(n, _get(cfg, "subspace_dim", n), rng)
+        room = (1 << (2 * n)) - V.size  # labels left for junk; more would never be drawn
+        if not 0 <= cfg["junk"] <= room:
+            raise ValidationError(f"junk count must be in [0, {room}], got {cfg['junk']}")
         members = set(V.element_bits)
         while len(members) < V.size + cfg["junk"]:
             members.add(int(rng.integers(1 << (2 * n))))
@@ -358,9 +362,7 @@ def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
     if cfg["pfr_search"] and result.s_prime.size:
         cover = additive.brute_force_subspace_cover(result.s_prime)
         payload["pfr_search"] = {
-            "subspace": [
-                gf2.WeylLabel(b, S.n).to_string() for b in cover["subspace"].basis
-            ],
+            "subspace": [lab.to_string() for lab in cover["subspace"].labels()],
             "translate_count": cover["translate_count"],
             "doubling": cover["doubling"],
             "translate_bound": cover["translate_bound"],
@@ -393,9 +395,7 @@ def _cmd_cover(cfg: dict) -> tuple[dict, dict]:
         "part_count": len(parts),
         "bound": (1 << V.k) + 1,
         "union_exact": union_exact,
-        "parts": [
-            [gf2.WeylLabel(b, V.n).to_string() for b in part.basis] for part in parts
-        ],
+        "parts": [[lab.to_string() for lab in part.labels()] for part in parts],
     }, {}
 
 
@@ -441,10 +441,21 @@ def run_experiment(config: dict) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and inf are rejected like non-numbers."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r} (need a finite number)")
+    return value
+
+
 def _add_state_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", choices=_STATE_KINDS)
     sub.add_argument("--n", type=int)
-    sub.add_argument("--noise", type=float)
+    sub.add_argument("--noise", type=_finite_float)
     sub.add_argument("--state-file", dest="state_file")
 
 
@@ -472,10 +483,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("test")
     _add_state_flags(p)
-    p.add_argument("--eps1", type=float, required=True)
-    p.add_argument("--eps2", type=float, required=True)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--delta", type=float, default=1.0 / 3.0)
+    p.add_argument("--eps1", type=_finite_float, required=True)
+    p.add_argument("--eps2", type=_finite_float, required=True)
+    p.add_argument("--C", type=_finite_float, default=1.0)
+    p.add_argument("--delta", type=_finite_float, default=1.0 / 3.0)
     p.add_argument("--m-override", dest="m_override", type=int)
 
     p = add("fidelity")
@@ -497,18 +508,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empty", type=int)
     p.add_argument("--cycle", type=int)
     p.add_argument("--graph-file", dest="graph_file")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite_float, default=1e-6)
 
     p = add("uncertainty")
     _add_state_flags(p)
     p.add_argument("--labels-file", dest="labels_file")
     p.add_argument("--random-labels", dest="random_labels", type=int)
-    p.add_argument("--theta-tol", dest="theta_tol", type=float, default=1e-6)
+    p.add_argument("--theta-tol", dest="theta_tol", type=_finite_float, default=1e-6)
     p.add_argument("--restarts", type=int, default=8)
 
     p = add("extract")
     _add_state_flags(p)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--gamma", type=_finite_float)
     p.add_argument("--retry-cap", dest="retry_cap", type=int, default=200)
 
     p = add("bsg")
@@ -516,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--subspace-dim", dest="subspace_dim", type=int)
     p.add_argument("--junk", type=int, default=0)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=_finite_float)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--pfr-search", dest="pfr_search", action="store_true",
                    help="also brute-force the best covering subspace of S' (2n <= 8)")
@@ -577,6 +588,9 @@ def main(argv: list[str] | None = None) -> int:
         emit_report(report, fmt, out_path)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except CertificateError as exc:
         print(f"certificate violation: {exc}", file=sys.stderr)

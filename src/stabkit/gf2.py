@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 from .errors import CapExceededError, ValidationError
 
 __all__ = [
+    "LAGRANGIAN_QUBIT_CAP",
     "WeylLabel",
     "GF2Subspace",
     "SymplecticDecomposition",
@@ -30,9 +31,13 @@ __all__ = [
     "enumerate_lagrangians",
     "enumerate_subspaces",
     "random_subspace",
+    "parse_labels",
     "parse_subspace",
     "format_subspace",
 ]
+
+# Largest n whose Lagrangians are enumerated (and so the exact oracle's cap).
+LAGRANGIAN_QUBIT_CAP = 4
 
 
 @dataclass(frozen=True, order=True)
@@ -86,9 +91,6 @@ class WeylLabel:
         if self.n != other.n:
             raise ValidationError(f"qubit-count mismatch: {self.n} vs {other.n}")
         return WeylLabel(self.bits ^ other.bits, self.n)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
 
 def symplectic_form(x: WeylLabel, y: WeylLabel) -> int:
@@ -414,20 +416,24 @@ def enumerate_subspaces(two_n: int, dim: int | None = None) -> Iterator[tuple[in
 
 
 def enumerate_lagrangians(n: int) -> Iterator[GF2Subspace]:
-    """Yield every Lagrangian subspace of F2^(2n) exactly once (n <= 4).
+    """Yield every Lagrangian subspace of F2^(2n) exactly once (n <= LAGRANGIAN_QUBIT_CAP).
 
     Each Lagrangian is uniquely {(a, S a + c) : a in A, c in A^perp}, where
     A <= F2^n is its x1-projection and S is a symmetric bilinear form on A
     (Dehaene-De Moor 2003), so there are prod_{i=1..n} (2^i + 1) of them.
     They come out sorted by canonical basis.
     """
-    if n > 4:
-        raise CapExceededError(f"Lagrangian enumeration capped at n=4, got {n}")
+    if n > LAGRANGIAN_QUBIT_CAP:
+        raise CapExceededError(
+            f"Lagrangian enumeration capped at n={LAGRANGIAN_QUBIT_CAP}, got {n}"
+        )
     yield from _lagrangian_list(n)
 
 
 def random_subspace(n: int, dim: int, rng) -> GF2Subspace:
     """Uniform-ish random subspace of F2^(2n) of the given dimension."""
+    if n < 1:
+        raise ValidationError(f"qubit count must be >= 1, got {n}")
     if not 0 <= dim <= 2 * n:
         raise ValidationError(f"dimension {dim} out of range for 2n={2 * n}")
     basis: list[int] = []
@@ -463,16 +469,22 @@ def _lagrangian_list(n: int) -> tuple[GF2Subspace, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Text format: one basis row per line as a 2n-character 0/1 string.
+# Text format: one label per line as a 2n-character 0/1 string.
 # ---------------------------------------------------------------------------
 
 
+def parse_labels(text: str) -> list[WeylLabel]:
+    """The labels of a one-label-per-line text; blank lines are skipped."""
+    labels = [WeylLabel.from_string(ln) for ln in text.splitlines() if ln.strip()]
+    if not labels:
+        raise ValidationError("no labels in the text")
+    if any(lab.n != labels[0].n for lab in labels):
+        raise ValidationError("labels mix lengths")
+    return labels
+
+
 def parse_subspace(text: str) -> GF2Subspace:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValidationError("empty subspace file")
-    labels = [WeylLabel.from_string(ln) for ln in lines]
-    return span_and_classify(labels)
+    return span_and_classify(parse_labels(text))
 
 
 def format_subspace(V: GF2Subspace) -> str:

@@ -132,13 +132,20 @@ def symplectic_graph(k: int) -> SimpleGraph:
     return compose_graphs("complement", anti)
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValidationError(f"graph order must be >= 1, got {order}")
+
+
 def complete_graph(order: int) -> SimpleGraph:
+    _check_order(order)
     adj = np.ones((order, order), dtype=bool)
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj)
 
 
 def empty_graph(order: int) -> SimpleGraph:
+    _check_order(order)
     return SimpleGraph(np.zeros((order, order), dtype=bool))
 
 

@@ -6,7 +6,7 @@ patterns are the characters of V relative to a base pattern coming from
 ordered products of the reduced-basis generators (the all-plus pattern is
 not always a group: e.g. the span of XX and ZZ contains -YY).  The best
 fidelity over one V is then a single Walsh-Hadamard transform of signed
-expectations, and the oracle maximizes over all Lagrangians (n <= 4).
+expectations, and the oracle maximizes over all Lagrangians (n <= ORACLE_QUBIT_CAP).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
-from .gf2 import GF2Subspace, WeylLabel, enumerate_lagrangians
+from .gf2 import LAGRANGIAN_QUBIT_CAP, GF2Subspace, WeylLabel, enumerate_lagrangians
 from .state import PureState, char_distribution, fwht, weyl_matrix
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "twirl_purity",
 ]
 
-ORACLE_QUBIT_CAP = 4
+ORACLE_QUBIT_CAP = LAGRANGIAN_QUBIT_CAP
 # Lagrangians per pass of stabilizer_fidelity_exact.  At n = 4 a pass's
 # temporaries are 512 x 16 doubles = 64 KiB, under malloc's 128 KiB mmap
 # threshold, so they are reused from the heap.  Whole-table (2295 x 16)
@@ -103,7 +103,6 @@ class FidelityReport:
     f_s: float
     argmax_lagrangian: GF2Subspace
     argmax_character: int  # n-bit character index relative to the base signs
-    lagrangian_masses: dict
 
 
 def lagrangian_mass(state: PureState, V: GF2Subspace) -> float:
@@ -116,28 +115,24 @@ def lagrangian_mass(state: PureState, V: GF2Subspace) -> float:
 
 
 def stabilizer_fidelity_exact(state: PureState) -> FidelityReport:
-    """Exhaustive max |<psi|S>|^2 over all stabilizer states (n <= 4)."""
+    """Exhaustive max |<psi|S>|^2 over all stabilizer states (n <= ORACLE_QUBIT_CAP)."""
     if state.n > ORACLE_QUBIT_CAP:
         raise CapExceededError(
             f"exhaustive oracle capped at n={ORACLE_QUBIT_CAP}, got {state.n}"
         )
     subspaces, elements, signs = _lagrangian_table(state.n)
     expect = state.expectations
-    p = char_distribution(state).values
     per_lagrangian = np.empty(len(subspaces))
-    masses = np.empty(len(subspaces))
     for lo in range(0, len(subspaces), _ORACLE_ROWS):
         rows = slice(lo, lo + _ORACLE_ROWS)
         fidelities = fwht(signs[rows] * expect[elements[rows]]) / (1 << state.n)
         per_lagrangian[rows] = fidelities.max(axis=1)
-        masses[rows] = p[elements[rows]].sum(axis=1)
     best = int(np.argmax(per_lagrangian))  # first max = lexicographically smallest
     fidelities = fwht(signs[best] * expect[elements[best]]) / (1 << state.n)
     return FidelityReport(
         f_s=float(per_lagrangian[best]),
         argmax_lagrangian=subspaces[best],
         argmax_character=int(np.argmax(fidelities)),
-        lagrangian_masses=dict(zip(subspaces, masses.tolist())),
     )
 
 

@@ -44,6 +44,13 @@ _HERMITICITY_TOL = 1e-10
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^k, exact
 
 
+def _check_qubit_count(n: int) -> None:
+    if n < 1:
+        raise ValidationError(f"qubit count must be >= 1, got {n}")
+    if n > STATE_QUBIT_CAP:
+        raise CapExceededError(f"statevector engine capped at n={STATE_QUBIT_CAP}, got {n}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """A normalized n-qubit statevector (amplitudes in natural binary order)."""
@@ -52,12 +59,7 @@ class PureState:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"qubit count must be >= 1, got {self.n}")
-        if self.n > STATE_QUBIT_CAP:
-            raise CapExceededError(
-                f"statevector engine capped at n={STATE_QUBIT_CAP}, got {self.n}"
-            )
+        _check_qubit_count(self.n)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.n,):
             raise ValidationError(
@@ -311,6 +313,7 @@ def generate_state(
     to |0...0>.  ``noisy_stabilizer`` mixes a stabilizer state |S> with a
     Haar vector orthogonalized against it, so |<S|out>|^2 = 1 - noise exactly.
     """
+    _check_qubit_count(n)  # before any 2^n allocation
     if rng is None:
         if seed is None and kind != "t_tensor":
             raise ValidationError(f"kind {kind!r} needs a seed")

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapExceededError, CertificateError, ValidationError
 from .gf2 import WeylLabel
 from .graphs import anticommutation_graph, lovasz_theta
-from .state import PureState, weyl_expectation, weyl_matrix
+from .state import PureState, weyl_matrix
 
 __all__ = [
     "HAMILTONIAN_QUBIT_CAP",
@@ -78,12 +78,12 @@ def _stacked_matrices(labels: list[WeylLabel]) -> np.ndarray:
 def hamiltonian_norm_sq(spec: HamiltonianSpec) -> float:
     """lambda_max(H^2) for H = sum_i a_i W_i, via dense eigendecomposition."""
     mats = _stacked_matrices(list(spec.labels))
-    ham = np.tensordot(spec.coefficients, mats, axes=1)
-    eigvals = np.linalg.eigvalsh(ham)
-    return float(max(eigvals[-1] ** 2, eigvals[0] ** 2))
+    mu, _ = _extreme_eigpair(np.tensordot(spec.coefficients, mats, axes=1))
+    return mu * mu
 
 
 def _extreme_eigpair(ham: np.ndarray) -> tuple[float, np.ndarray]:
+    """The eigenvalue of largest modulus and its phase-fixed eigenvector."""
     vals, vecs = np.linalg.eigh(ham)
     idx = 0 if abs(vals[0]) > abs(vals[-1]) else len(vals) - 1
     vec = vecs[:, idx]
@@ -176,7 +176,7 @@ def uncertainty_certificate(
         raise ValidationError(f"qubit-count mismatch: state n={state.n}, labels n={n}")
     if rng is None:
         rng = np.random.default_rng(0)
-    witness = np.array([weyl_expectation(state, lab) for lab in labels])
+    witness = state.expectations[[lab.bits for lab in labels]]
     lhs = float(np.dot(witness, witness))
     norm = float(np.linalg.norm(witness))
 

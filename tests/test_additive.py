@@ -153,10 +153,11 @@ def test_bsg_validation():
 
 
 def test_bsg_threshold_overrides_change_selection():
-    # A full-strength degree threshold of 1.0 still keeps a subspace intact.
+    # On a subspace every pair of B = S is an edge (full degree), so the
+    # proof's degree threshold keeps the whole set.
     V = random_subspace(np.random.default_rng(20), 2, 2)
     S = GF2Set.from_subspace(V)
-    strict = bsg_extract(S, 1.0, np.random.default_rng(21), degree_fraction=1.0)
+    strict = bsg_extract(S, 1.0, np.random.default_rng(21))
     assert strict.succeeded and strict.s_prime.size == S.size
 
 

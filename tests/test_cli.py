@@ -323,14 +323,78 @@ def test_theta_graph_file_non_integer_edge(tmp_path, capsys):
         ["bsg", "--n", "2", "--subspace-dim", "2", "--seed", "1", "--trials", "0"],
         ["extract", "--kind", "t_tensor", "--n", "2", "--seed", "1", "--retry-cap", "0"],
         ["uncertainty", "--kind", "haar", "--n", "2", "--seed", "1", "--random-labels", "0"],
+        # Negative sizes are rejected before they reach numpy or a loop.
+        ["fidelity", "--kind", "haar", "--n", "-1", "--seed", "1"],
+        ["sandwich-sweep", "--n-values", "-1", "--seed", "1"],
+        ["theta", "--complete", "-1"],
+        ["theta", "--empty", "-1"],
+        ["uncertainty", "--kind", "haar", "--n", "2", "--seed", "1", "--random-labels", "-1"],
+        ["bsg", "--n", "2", "--seed", "1", "--junk", "-1"],
+        # More junk than labels outside V: the drawing loop would never end.
+        ["bsg", "--n", "1", "--subspace-dim", "2", "--seed", "1", "--junk", "1"],
+        ["cover", "--n", "0", "--dim", "0", "--seed", "1"],
     ],
     ids=["m", "C", "delta", "tol", "theta-tol", "restarts", "trials", "retry-cap",
-         "random-labels"],
+         "random-labels", "n-negative", "n-values-negative", "complete-negative",
+         "empty-negative", "random-labels-negative", "junk-negative", "junk-overflow",
+         "cover-n-zero"],
 )
 def test_zero_flag_reaches_validator(capsys, argv):
     # A 0 must not be swapped for the default; the callee rejects it.
     assert cli.main(argv) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelity", "--state-file", "{missing}"],
+        ["fidelity", "--state-file", "{not_json}"],
+        ["uncertainty", "--kind", "haar", "--n", "1", "--seed", "1", "--labels-file", "{missing}"],
+        ["uncertainty", "--kind", "haar", "--n", "1", "--seed", "1", "--labels-file",
+         "{not_ascii}"],
+        ["bsg", "--set-file", "{missing}", "--seed", "1"],
+        ["theta", "--graph-file", "{missing}"],
+        ["cover", "--subspace-file", "{missing}"],
+        ["fidelity", "--kind", "t_tensor", "--n", "1", "--out", "{missing}/report.json"],
+    ],
+    ids=["state-file", "state-file-not-json", "labels-file", "labels-file-not-ascii",
+         "set-file", "graph-file", "subspace-file", "out"],
+)
+def test_unreadable_files_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "not.json").write_text("{n: 1")
+    (tmp_path / "latin1.txt").write_bytes(b"10\xff\n")
+    paths = {"missing": tmp_path / "missing", "not_json": tmp_path / "not.json",
+             "not_ascii": tmp_path / "latin1.txt"}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    assert "file error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--kind", "stabilizer", "--n", "1", "--eps1", "0.9", "--eps2", "1e-40",
+         "--seed", "1", "--C", "nan"],
+        ["extract", "--kind", "t_tensor", "--n", "2", "--seed", "1", "--gamma", "inf"],
+        ["gamma", "--kind", "haar", "--n", "1", "--seed", "1", "--m", "10", "--noise=-inf"],
+    ],
+    ids=["C-nan", "gamma-inf", "noise-minus-inf"],
+)
+def test_non_finite_float_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "need a finite number" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"delta": NaN}')  # Python's json module reads the NaN token
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "test", "--kind", "stabilizer", "--n", "1",
+                  "--eps1", "0.9", "--eps2", "1e-40", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "argument --delta: invalid float value: 'nan'" in capsys.readouterr().err
 
 
 def test_cover_dim_zero_is_kept(tmp_path):

@@ -14,7 +14,13 @@ from stabkit.oracle import (
     twirl_purity,
     weyl_product_phase,
 )
-from stabkit.state import PureState, fwht, generate_state, weyl_expectation_table
+from stabkit.state import (
+    PureState,
+    char_distribution,
+    fwht,
+    generate_state,
+    weyl_expectation_table,
+)
 
 ZERO = PureState(np.array([1, 0], dtype=complex), 1)
 ONE = PureState(np.array([0, 1], dtype=complex), 1)
@@ -80,14 +86,15 @@ def test_fidelity_report_dominates_masses_and_characters():
         report = stabilizer_fidelity_exact(psi)
         assert report.f_s >= (1 << n) ** -1 - 1e-12
         table = weyl_expectation_table(psi)
+        p = char_distribution(psi).values
         subspaces, elements, signs = _lagrangian_table(n)
         for row, V in enumerate(subspaces):
             fids = fwht(signs[row] * table[elements[row]]) / (1 << n)
-            assert report.f_s >= report.lagrangian_masses[V] - 1e-10
+            mass = lagrangian_mass(psi, V)
+            assert report.f_s >= mass - 1e-10
             assert report.f_s >= fids.max() - 1e-10
-            assert report.lagrangian_masses[V] == pytest.approx(
-                lagrangian_mass(psi, V), abs=1e-12
-            )
+            # The table row and V's own element list name the same members.
+            assert p[elements[row]].sum() == pytest.approx(mass, abs=1e-12)
 
 
 def test_character_fidelities_are_probabilities_and_parseval():
