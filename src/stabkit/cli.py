@@ -282,6 +282,7 @@ def _cmd_theta(cfg: dict) -> tuple[dict, dict]:
         "order": g.order,
         "iterations": result.iterations,
         "residuals": result.residuals,
+        "upper": result.upper,
     }, {}
 
 
@@ -310,7 +311,11 @@ def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
         "psi0_lb": cert.psi0_lb,
         "theta_ub": cert.theta_ub,
         "witness": cert.witness.tolist(),
-    }, {}
+    }, {
+        "theta_lower": cert.theta.value,
+        "theta_iterations": cert.theta.iterations,
+        "theta_solver": cert.theta.solver,
+    }
 
 
 def _cmd_extract(cfg: dict) -> tuple[dict, dict]:

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .state import PureState, char_distribution
 
 __all__ = [
+    "ROUND_CAP",
     "BellSampler",
     "TestPlan",
     "TestOutcome",
@@ -27,6 +28,12 @@ __all__ = [
     "plan_test",
     "run_tolerant_test",
 ]
+
+
+# Engine cap on Bell rounds per estimate: about a minute at ~3e6 rounds/s.
+ROUND_CAP = 200_000_000
+# Rounds drawn per pass of estimate_gamma; every m up to it is drawn in one pass.
+_ROUND_CHUNK = 1 << 17
 
 
 class BellSampler:
@@ -45,20 +52,31 @@ class BellSampler:
 
     def rounds(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized rounds: (difference labels, accept bits)."""
-        x = self.sample_labels(count, rng)
-        y = self.sample_labels(count, rng)
-        a = x ^ y
-        accepts = rng.random(count) < 0.5 * (1.0 + self._expect_sq[a])
+        a = self.sample_labels(count, rng)
+        a ^= self.sample_labels(count, rng)
+        bias = self._expect_sq[a]
+        bias += 1.0
+        bias *= 0.5  # in place: at most three count-sized arrays are alive at once
+        accepts = rng.random(count) < bias
         return a, accepts.astype(np.int64)
 
 
 def estimate_gamma(state: PureState, m: int, rng: np.random.Generator) -> float:
-    """Unbiased estimator (1/m) sum (2 accept_i - 1) of gamma, in [-1, 1]."""
+    """Unbiased estimator (1/m) sum (2 accept_i - 1) of gamma, in [-1, 1].
+
+    Rounds are drawn in passes of at most _ROUND_CHUNK, so memory stays
+    bounded for any m up to ROUND_CAP; the sum of +-1 terms is exact, so a
+    single pass gives the same float as the mean over one array.
+    """
     if m < 1:
         raise ValidationError(f"sample count must be >= 1, got {m}")
+    if m > ROUND_CAP:
+        raise CapExceededError(f"{m} Bell rounds planned, above the cap of {ROUND_CAP}")
     sampler = BellSampler(state)
-    _, accepts = sampler.rounds(m, rng)
-    return float(np.mean(2.0 * accepts - 1.0))
+    accepted = 0
+    for start in range(0, m, _ROUND_CHUNK):
+        accepted += int(sampler.rounds(min(_ROUND_CHUNK, m - start), rng)[1].sum())
+    return (2.0 * accepted - m) / m
 
 
 @dataclass(frozen=True)

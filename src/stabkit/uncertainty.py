@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
 from .gf2 import WeylLabel
-from .graphs import anticommutation_graph, lovasz_theta
+from .graphs import ThetaResult, anticommutation_graph, lovasz_theta
 from .state import PureState, weyl_matrix
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
 
 HAMILTONIAN_QUBIT_CAP = 6
 _COEFF_NORM_TOL = 1e-10
+# Slack of the chain's theta links: eigensolver roundoff, not solver tolerance.
+_ROUNDOFF = 1e-9
 # Projected-gradient ascent: first trial step, stopping gradient norm, step cap.
 _ASCENT_STEP0 = 0.1
 _ASCENT_GRAD_TOL = 1e-9
@@ -78,46 +80,79 @@ def _stacked_matrices(labels: list[WeylLabel]) -> np.ndarray:
 def hamiltonian_norm_sq(spec: HamiltonianSpec) -> float:
     """lambda_max(H^2) for H = sum_i a_i W_i, via dense eigendecomposition."""
     mats = _stacked_matrices(list(spec.labels))
-    mu, _ = _extreme_eigpair(np.tensordot(spec.coefficients, mats, axes=1))
-    return mu * mu
+    mu, _ = _extreme_eigpairs(np.tensordot(spec.coefficients, mats, axes=1)[None])
+    return float(mu[0] * mu[0])
 
 
-def _extreme_eigpair(ham: np.ndarray) -> tuple[float, np.ndarray]:
-    """The eigenvalue of largest modulus and its phase-fixed eigenvector."""
-    vals, vecs = np.linalg.eigh(ham)
-    idx = 0 if abs(vals[0]) > abs(vals[-1]) else len(vals) - 1
-    vec = vecs[:, idx]
-    # Deterministic sign/phase: first significant component made real-positive.
-    for comp in vec:
-        if abs(comp) > 1e-12:
-            vec = vec * (abs(comp) / comp)
-            break
-    return float(vals[idx]), vec
+def _extreme_eigpairs(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a stack: the eigenvalue of largest modulus and its eigenvector.
+
+    One stacked eigh; its output is bit-identical to one call per matrix.
+    """
+    vals, vecs = np.linalg.eigh(hams)
+    rows = np.arange(len(hams))
+    idx = np.where(np.abs(vals[:, 0]) > np.abs(vals[:, -1]), 0, vals.shape[1] - 1)
+    return vals[rows, idx], vecs[rows, :, idx]
 
 
-def _ascend(mats: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
-    a = start / np.linalg.norm(start)
-    mu, vec = _extreme_eigpair(np.tensordot(a, mats, axes=1))
-    best = mu * mu
-    for _ in range(_ASCENT_MAX_STEPS):
-        grad = 2.0 * mu * np.real(np.einsum("i,kij,j->k", np.conj(vec), mats, vec))
-        grad -= np.dot(grad, a) * a
-        if np.linalg.norm(grad) < _ASCENT_GRAD_TOL:
-            break
-        step = _ASCENT_STEP0
-        improved = False
-        while step > 1e-12:
-            cand = a + step * grad
-            cand /= np.linalg.norm(cand)
-            mu_c, vec_c = _extreme_eigpair(np.tensordot(cand, mats, axes=1))
-            if mu_c * mu_c > best:
-                a, mu, vec, best = cand, mu_c, vec_c, mu_c * mu_c
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return best, a
+def _ascend(mats: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected-gradient ascent on the coefficient sphere from every start, in lockstep.
+
+    Each backtracking round evaluates one candidate per unfinished ascent,
+    a + step * grad renormalized, with one stacked eigh: a step of
+    _ASCENT_STEP0 after an accepted move, half the last step after a
+    rejected one.  An ascent stops when its gradient is below
+    _ASCENT_GRAD_TOL, its step reaches 1e-12 without improving, or it has
+    taken _ASCENT_MAX_STEPS steps.  Returns each start's best mu^2 and argument.
+    """
+    count, dim = mats.shape[0], mats.shape[1]
+    # Real views of the complex entries (re, im interleaved): the coefficients are
+    # real, so both contractions are real matmuls.
+    flat = mats.reshape(count, dim * dim).view(np.float64)
+    flat_conj = np.conj(mats).reshape(count, dim * dim).view(np.float64)
+
+    def evaluate(coeffs):
+        return _extreme_eigpairs((coeffs @ flat).view(np.complex128).reshape(-1, dim, dim))
+
+    def gradient(coeffs, mu, vecs):
+        # d mu^2 / d a_k = 2 mu Re <v|W_k|v>, projected onto the sphere's tangent space.
+        outer = np.conj(vecs)[:, :, None] * vecs[:, None, :]
+        grad = 2.0 * mu[:, None] * (outer.reshape(len(vecs), -1).view(np.float64) @ flat_conj.T)
+        return grad - np.sum(grad * coeffs, axis=1, keepdims=True) * coeffs
+
+    def norms(rows):
+        return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+    a = starts / norms(starts)[:, None]
+    mu, vecs = evaluate(a)
+    value = mu * mu
+    grad = gradient(a, mu, vecs)
+    best_value, best_arg = value.copy(), a.copy()
+    # The unfinished ascents, compacted: their start index and state.
+    live = norms(grad) >= _ASCENT_GRAD_TOL
+    idx, a, value, grad = np.flatnonzero(live), a[live], value[live], grad[live]
+    step = np.full(len(idx), _ASCENT_STEP0)
+    taken = np.zeros(len(idx), dtype=np.int64)
+    while idx.size:
+        cand = a + step[:, None] * grad
+        cand /= norms(cand)[:, None]
+        mu_c, vecs_c = evaluate(cand)
+        value_c = mu_c * mu_c
+        up = value_c > value
+        if up.any():
+            a[up], value[up] = cand[up], value_c[up]
+            grad[up] = gradient(cand[up], mu_c[up], vecs_c[up])
+            step[up] = _ASCENT_STEP0
+            taken[up] += 1
+        step[~up] *= 0.5
+        live = np.where(up, (taken < _ASCENT_MAX_STEPS) & (norms(grad) >= _ASCENT_GRAD_TOL),
+                        step > 1e-12)
+        if not live.all():
+            done = ~live
+            best_value[idx[done]], best_arg[idx[done]] = value[done], a[done]
+            idx, a, value, grad, step, taken = (
+                arr[live] for arr in (idx, a, value, grad, step, taken))
+    return best_value, best_arg
 
 
 def psi0_lower_bound(
@@ -137,17 +172,12 @@ def psi0_lower_bound(
     if rng is None:
         rng = np.random.default_rng(0)
     _check_labels(labels)
-    mats = _stacked_matrices(labels)
     count = len(labels)
-    starts = list(seed_starts or [])
-    for _ in range(restarts):
-        starts.append(rng.normal(size=count))
-    best_value, best_arg = -np.inf, None
-    for start in starts:
-        value, arg = _ascend(mats, np.asarray(start, dtype=np.float64))
-        if value > best_value:
-            best_value, best_arg = value, arg
-    return {"value": float(best_value), "argmax": best_arg}
+    starts = [np.asarray(s, dtype=np.float64) for s in seed_starts or []]
+    starts += [rng.normal(size=count) for _ in range(restarts)]
+    values, args = _ascend(_stacked_matrices(labels), np.array(starts))
+    best = int(np.argmax(values))  # the first start reaching the maximum
+    return {"value": float(values[best]), "argmax": args[best]}
 
 
 @dataclass(frozen=True)
@@ -155,7 +185,11 @@ class UncertaintyCertificate:
     lhs: float
     witness: np.ndarray
     psi0_lb: float
-    theta_ub: float
+    theta: ThetaResult  # the certified bracket on theta(Gamma_A)
+
+    @property
+    def theta_ub(self) -> float:
+        return self.theta.upper
 
 
 def uncertainty_certificate(
@@ -194,16 +228,18 @@ def uncertainty_certificate(
 
     ascent = psi0_lower_bound(labels, restarts, rng, seed_starts=seed_starts)
     psi0_lb = max(float(ascent["value"]), seed_norm_sq)
-    theta_ub = lovasz_theta(anticommutation_graph(labels), theta_tol).value
+    theta = lovasz_theta(anticommutation_graph(labels), theta_tol)
+    if not theta.converged:
+        raise CertificateError(
+            f"theta solver did not converge: bracket [{theta.value!r}, {theta.upper!r}] "
+            f"after {theta.iterations} {theta.solver} iterations"
+        )
 
     if lhs > psi0_lb + 1e-8:
         raise CertificateError(f"chain failed: lhs {lhs!r} > psi0 bound {psi0_lb!r}")
-    if psi0_lb > theta_ub + 10.0 * theta_tol:
-        raise CertificateError(
-            f"chain failed: psi0 bound {psi0_lb!r} > theta {theta_ub!r} + 10*tol"
-        )
-    if lhs > theta_ub + theta_tol:
-        raise CertificateError(f"chain failed: lhs {lhs!r} > theta {theta_ub!r} + tol")
-    return UncertaintyCertificate(
-        lhs=lhs, witness=witness, psi0_lb=psi0_lb, theta_ub=theta_ub
-    )
+    # theta.upper is a certified upper bound, so only roundoff may separate the links.
+    if psi0_lb > theta.upper + _ROUNDOFF:
+        raise CertificateError(f"chain failed: psi0 bound {psi0_lb!r} > theta {theta.upper!r}")
+    if lhs > theta.upper + _ROUNDOFF:
+        raise CertificateError(f"chain failed: lhs {lhs!r} > theta {theta.upper!r}")
+    return UncertaintyCertificate(lhs=lhs, witness=witness, psi0_lb=psi0_lb, theta=theta)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from stabkit import cli
+from stabkit import cli, uncertainty
 from stabkit.gf2 import WeylLabel, span_and_classify, format_subspace
 from stabkit.state import generate_state, state_to_json_dict
 
@@ -227,6 +230,36 @@ def test_theta_graph_file(tmp_path):
     assert json.loads(payload)["results"]["value"] == pytest.approx(5**0.5, abs=1e-5)
 
 
+def test_theta_and_uncertainty_report_the_bracket(tmp_path):
+    code, payload = run_to_file(tmp_path, "th.json", ["theta", "--cycle", "5"])
+    assert code == 0
+    res = json.loads(payload)["results"]
+    assert list(res) == ["value", "order", "iterations", "residuals", "upper"]
+    assert res["value"] <= 5**0.5 <= res["upper"] <= res["value"] + 1e-6
+
+    code, payload = run_to_file(
+        tmp_path, "u.json",
+        ["uncertainty", "--kind", "haar", "--n", "2", "--random-labels", "6", "--seed", "4"],
+    )
+    assert code == 0
+    doc = json.loads(payload)
+    summary = doc["summary"]
+    assert list(summary) == ["theta_lower", "theta_iterations", "theta_solver"]
+    assert summary["theta_solver"] == "ipm" and summary["theta_iterations"] >= 1
+    assert summary["theta_lower"] <= doc["results"]["theta_ub"] <= summary["theta_lower"] + 1e-6
+
+
+def test_unconverged_theta_fails_the_certificate(monkeypatch, capsys):
+    real = uncertainty.lovasz_theta
+    monkeypatch.setattr(
+        uncertainty, "lovasz_theta",
+        lambda g, tol: dataclasses.replace(real(g, tol), converged=False),
+    )
+    argv = ["uncertainty", "--kind", "haar", "--n", "2", "--random-labels", "6", "--seed", "4"]
+    assert cli.main(argv) == 3
+    assert "theta solver did not converge" in capsys.readouterr().err
+
+
 def test_theta_csv_format(tmp_path):
     code, payload = run_to_file(
         tmp_path, "th.csv", ["theta", "--cycle", "5", "--format", "csv"]
@@ -416,3 +449,46 @@ def test_bsg_all_trials_with_empty_b(tmp_path, seed):
     assert doc["succeeded"] is False
     assert doc["z_used"] == "0010"
     assert doc["stats"]["b_size"] == 0 and doc["s_prime_size"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # eps1 = 0.3 plans m = ceil(72 ln 6 / 0.3^12) = 242,748,832 rounds.
+        ["test", "--kind", "haar", "--n", "1", "--seed", "1", "--eps1", "0.3", "--eps2", "0"],
+        ["test", "--kind", "haar", "--n", "1", "--seed", "1", "--eps1", "0.9", "--eps2", "0",
+         "--m-override", "200000001"],
+        ["gamma", "--kind", "haar", "--n", "1", "--seed", "1", "--m", "200000001"],
+    ],
+    ids=["planned-m", "m-override", "gamma-m"],
+)
+def test_rounds_above_the_cap_exit_4(capsys, argv):
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "cap exceeded" in err
+    assert ("242748832" if "0.3" in argv else "200000001") in err
+
+
+_PEAK_RSS = """
+import resource, sys
+from stabkit import cli
+code = cli.main(["test", "--kind", "haar", "--n", "1", "--seed", "1", "--eps1", "0.5",
+                 "--eps2", "0", "--m-override", sys.argv[1], "--out", sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_tester_memory_does_not_grow_with_m(tmp_path):
+    # Rounds are drawn in bounded passes: 2,000,000 rounds once took 115 MB against 37 MB.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    peaks = {}
+    for m in ("1", "2000000"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, m, str(tmp_path / f"t{m}.json")],
+            capture_output=True, text=True, timeout=120, check=True,
+            env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        code, peak = proc.stdout.split()
+        assert code == "0"
+        peaks[m] = int(peak)
+    assert peaks["2000000"] <= 1.10 * peaks["1"]

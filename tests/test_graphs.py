@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from stabkit import graphs
 from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import WeylLabel, symplectic_form
 from stabkit.graphs import (
@@ -98,11 +99,49 @@ def test_theta_golden_values():
     assert lovasz_theta(cycle_graph(5)).value == pytest.approx(np.sqrt(5), abs=1e-5)
 
 
-def test_theta_c5_two_solver_configurations():
+def test_theta_c5_two_solver_configurations(monkeypatch):
     a = lovasz_theta(cycle_graph(5), tol=1e-7)
-    b = lovasz_theta(cycle_graph(5), tol=1e-7, step=0.45, relaxation=1.2)
+    monkeypatch.setattr(graphs, "IPM_MAX_ROWS", 0)  # every graph takes Douglas-Rachford
+    b = lovasz_theta(cycle_graph(5), tol=1e-7)
+    assert (a.solver, b.solver) == ("ipm", "dr")
     assert a.value == pytest.approx(b.value, abs=1e-6)
     assert a.value == pytest.approx(np.sqrt(5), abs=1e-6)
+
+
+def test_theta_solver_chosen_by_schur_rows():
+    # |E| + 1 Schur rows: K23 has 254 and takes the interior-point path, K24 has 277.
+    assert lovasz_theta(complete_graph(23)).solver == "ipm"
+    assert lovasz_theta(complete_graph(24)).solver == "dr"
+    dense = lovasz_theta(pauli_group_graph(3))  # 1,009 rows
+    assert dense.solver == "dr" and dense.converged
+    assert dense.value <= 8.0 <= dense.upper
+
+
+@pytest.mark.parametrize("size", [1, 5, 64, 65, 150, 256])
+def test_blocked_cholesky_matches_numpy(size):
+    rng = np.random.default_rng(size)
+    root = rng.normal(size=(size, size))
+    spd = root @ root.T + size * np.eye(size)
+    factor = spd.copy()
+    graphs._cholesky_in_place(factor)
+    np.testing.assert_allclose(np.tril(factor), np.linalg.cholesky(spd), atol=1e-12)
+    rhs = rng.normal(size=size)
+    np.testing.assert_allclose(graphs._cholesky_solve(factor, rhs), np.linalg.solve(spd, rhs),
+                               atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        graphs._cholesky_in_place(-spd)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-6, 1e-5, 1e-3])
+def test_theta_bracket_meets_tol_or_says_not_converged(tol):
+    rng = np.random.default_rng(12)
+    cases = [cycle_graph(5), pauli_group_graph(2)] + [
+        compose_graphs("disjoint_union", rand_graph(rng, 9), rand_graph(rng, 8)) for _ in range(3)
+    ]
+    for g in cases:
+        result = lovasz_theta(g, tol)
+        assert result.value <= result.upper
+        assert result.converged == (result.upper - result.value <= tol)
 
 
 def test_theta_result_feasibility():

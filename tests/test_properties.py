@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabkit import graphs
 from stabkit.gf2 import WeylLabel, _reduce_rows, symplectic_form
+from stabkit.graphs import SimpleGraph, lovasz_theta
 from stabkit.state import fwht, generate_state, weyl_expectation
 
 # Fixed examples on every run, no example database written to the tree.
@@ -60,3 +65,50 @@ def test_expectation_table_matches_per_label_expectation(kind, n, seed, data):
     psi = generate_state(kind, n, seed, noise=0.1)
     for bits in data.draw(st.lists(st.integers(0, (1 << (2 * n)) - 1), min_size=1, max_size=6)):
         assert abs(psi.expectations[bits] - weyl_expectation(psi, WeylLabel(bits, n))) <= 1e-12
+
+
+@st.composite
+def small_graphs(draw):
+    order = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(order), 2))
+    adj = np.zeros((order, order), dtype=bool)
+    for (i, j), on in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                max_size=len(pairs)))):
+        adj[i, j] = adj[j, i] = on
+    return SimpleGraph(adj)
+
+
+def _independence_number(adj: np.ndarray) -> int:
+    order = len(adj)
+    for size in range(order, 0, -1):
+        for subset in itertools.combinations(range(order), size):
+            if not adj[np.ix_(subset, subset)].any():
+                return size
+    return 0
+
+
+def _greedy_clique_cover(adj: np.ndarray) -> int:
+    cliques: list[list[int]] = []
+    for vertex in range(len(adj)):
+        for clique in cliques:
+            if adj[vertex, clique].all():
+                clique.append(vertex)
+                break
+        else:
+            cliques.append([vertex])
+    return len(cliques)
+
+
+@PROPERTY
+@given(small_graphs())
+def test_theta_solvers_give_overlapping_certified_brackets(g):
+    ipm = lovasz_theta(g, 1e-6)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "IPM_MAX_ROWS", 0)  # every graph takes Douglas-Rachford
+        dr = lovasz_theta(g, 1e-3)
+    assert (ipm.solver, dr.solver) == ("ipm", "dr")
+    for result in (ipm, dr):
+        assert result.value <= result.upper
+        assert _independence_number(g.adjacency) <= result.upper + 1e-9
+        assert result.value <= _greedy_clique_cover(g.adjacency) + 1e-9
+    assert ipm.value <= dr.upper + 1e-9 and dr.value <= ipm.upper + 1e-9

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_subspace
 from stabkit.errors import CapExceededError, ValidationError
-from stabkit.gf2 import WeylLabel, symplectic_form
+from stabkit.gf2 import WeylLabel, parse_labels, symplectic_form
 from stabkit.state import PureState, generate_state
 from stabkit.uncertainty import (
     HamiltonianSpec,
@@ -150,3 +150,23 @@ def test_certificate_validation():
         uncertainty_certificate(ZERO, [])
     with pytest.raises(ValidationError):
         uncertainty_certificate(ZERO, [WeylLabel(1, 2)])
+
+
+# Trial 35 of the criterion-5 stream (seed 505, drawn at 8 restarts): n = 4, 14 labels,
+# 39 anticommuting pairs, psi0 = theta = 5.  Douglas-Rachford stopped at its iteration
+# cap at 4.999989, below psi0, so the certificate failed on a correct chain.
+FAULT_T35 = """
+01010001 00111011 10100101 00111001 01111110 00000101 11011010
+01101101 01010101 10000000 01011101 10100000 11000001 01000000
+"""
+
+
+def test_certificate_on_the_degenerate_t35_label_set():
+    labels = parse_labels(FAULT_T35.replace(" ", "\n"))
+    assert len(labels) == 14
+    psi = generate_state("haar", 4, seed=35)
+    cert = uncertainty_certificate(psi, labels, theta_tol=1e-6, restarts=8,
+                                   rng=np.random.default_rng(505))
+    assert cert.theta.converged and cert.theta.solver == "ipm"
+    assert cert.psi0_lb <= 5.0 + 1e-9 <= cert.theta_ub + 1e-9
+    assert cert.theta.value <= 5.0 <= cert.theta_ub
