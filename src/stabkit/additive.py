@@ -83,7 +83,10 @@ def representation_counts(S: GF2Set) -> dict:
         raise ValidationError("set must be nonempty")
     indicator = S.members.astype(np.float64)
     spectrum = fwht(indicator)
-    r = np.rint(fwht(spectrum * spectrum) / indicator.size)
+    np.multiply(spectrum, spectrum, out=spectrum)
+    r = fwht(spectrum)
+    r /= indicator.size
+    np.rint(r, out=r)
     closure = float(r[S.members].sum() / (size * size))
     energy = int(np.dot(r, r))
     return {

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -464,6 +465,11 @@ def _add_state_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--state-file", dest="state_file")
 
 
+# Built once per process: main runs many times in one process (tests, the
+# benchmark), and building the tree of nine subcommands costs about 50 times
+# as much as one parse.  Parsing reads the parsers and never mutates them, and
+# every default is immutable, so no call can leak state into the next.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabkit", description="Stabilizer-testing experiment runner"
@@ -502,8 +508,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n-values",
         dest="n_values",
-        type=lambda s: [int(x) for x in s.split(",")],
-        default=[1, 2, 3, 4],
+        type=lambda s: tuple(int(x) for x in s.split(",")),
+        default=(1, 2, 3, 4),
     )
 
     p = add("theta")
@@ -558,6 +564,14 @@ def _config_flags(file_cfg: dict) -> list[str]:
     return flags
 
 
+@functools.cache
+def _config_preparser() -> argparse.ArgumentParser:
+    """Finds --config anywhere on the command line; built once, like _build_parser."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _parse_config(argv: list[str]) -> dict:
     """Command line and --config file, resolved in one argparse pass.
 
@@ -567,9 +581,7 @@ def _parse_config(argv: list[str]) -> dict:
     wins.
     """
     parser = _build_parser()
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
+    known, rest = _config_preparser().parse_known_args(argv)
     if known.config:
         try:
             with open(known.config, encoding="ascii") as handle:

@@ -6,10 +6,36 @@ fast-transform implementations; they exist to cross-check them.
 
 from __future__ import annotations
 
-import numpy as np
+import os
 
-import stabkit.gf2 as gf2
-from stabkit.gf2 import GF2Subspace
+# Every matrix the suite builds is at most 256 x 256, where a second OpenBLAS
+# thread only adds spin-wait; it must be set before numpy is first imported.
+# An explicit setting still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+import stabkit.gf2 as gf2  # noqa: E402
+from stabkit.gf2 import GF2Subspace  # noqa: E402
+
+
+def reference_fwht(values: np.ndarray) -> np.ndarray:
+    """Reference Walsh-Hadamard butterfly, allocating fresh arrays per level.
+
+    Each level builds new top (a + b) and bottom (a - b) halves and stacks
+    them, with levels in the order h = 1, 2, 4, ...; ``state.fwht`` must
+    match it bit for bit.
+    """
+    a = np.array(values, copy=True)
+    size = a.shape[-1]
+    h = 1
+    while h < size:
+        a = a.reshape(a.shape[:-1] + (size // (2 * h), 2, h))
+        top = a[..., 0, :] + a[..., 1, :]
+        bot = a[..., 0, :] - a[..., 1, :]
+        a = np.stack((top, bot), axis=-2).reshape(a.shape[:-3] + (size,))
+        h *= 2
+    return a
 
 
 def naive_dyadic_convolution(values: np.ndarray) -> np.ndarray:

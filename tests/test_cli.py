@@ -315,6 +315,18 @@ GOLDEN = Path(__file__).parent / "golden"
             ["bsg", "--n", "4", "--subspace-dim", "5", "--junk", "4", "--seed", "9"],
         ),
         ("cover_n3_d5_s2.json", ["cover", "--n", "3", "--dim", "5", "--seed", "2"]),
+        # n = 6..8: transforms wide enough for every branch of the butterfly.
+        ("gamma_haar_n8_s5_exact.json", ["gamma", "--kind", "haar", "--n", "8", "--seed", "5", "--exact"]),
+        (
+            "gamma_haar_n8_m20000_s5.json",
+            ["gamma", "--kind", "haar", "--n", "8", "--seed", "5", "--m", "20000"],
+        ),
+        ("extract_t_tensor_n8_s5.json", ["extract", "--kind", "t_tensor", "--n", "8", "--seed", "5"]),
+        ("extract_haar_n7_s5.json", ["extract", "--kind", "haar", "--n", "7", "--seed", "5"]),
+        (
+            "bsg_n6_d7_j8_s5.json",
+            ["bsg", "--n", "6", "--subspace-dim", "7", "--junk", "8", "--seed", "5"],
+        ),
     ],
 )
 def test_golden_reports(tmp_path, golden, argv):
@@ -323,6 +335,32 @@ def test_golden_reports(tmp_path, golden, argv):
     code, payload = run_to_file(tmp_path, golden, argv)
     assert code == 0
     assert payload == (GOLDEN / golden).read_bytes()
+
+
+def test_calls_in_one_process_share_no_state(tmp_path):
+    # The parser is built once per process; no flag or default may leak from
+    # one call into the next.
+    base = ["gamma", "--kind", "haar", "--n", "2", "--seed", "1"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"C": 2}')
+    test_argv = ["test", "--kind", "stabilizer", "--n", "2", "--eps1", "0.9",
+                 "--eps2", "1e-40", "--seed", "3", "--m-override", "5"]
+    echoes = []
+    for argv in (base + ["--m", "5"], base, ["--config", str(cfg_path)] + test_argv, test_argv):
+        code, payload = run_to_file(tmp_path, "r.json", argv)
+        assert code == 0
+        echoes.append(json.loads(payload)["config"])
+    assert echoes[0]["m"] == 5 and "m" not in echoes[1]
+    assert echoes[2]["C"] == 2 and echoes[3]["C"] == 1
+
+    argv = ["sandwich-sweep", "--seed", "1"]
+    first = cli._parse_config(argv)
+    fresh = dict(first)
+    assert first["n_values"] == (1, 2, 3, 4)
+    with pytest.raises(AttributeError):  # a tuple default cannot be mutated in place
+        first["n_values"].append(5)
+    first.clear()
+    assert cli._parse_config(argv) == fresh
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])

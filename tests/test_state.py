@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import naive_dyadic_convolution
+from conftest import naive_dyadic_convolution, reference_fwht
 from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import WeylLabel
 from stabkit.oracle import stabilizer_fidelity_exact
@@ -238,6 +238,41 @@ def test_fwht_self_inverse_and_parseval():
     assert np.isclose(np.dot(spectrum, spectrum), 64 * np.dot(vec, vec))
     with pytest.raises(ValidationError):
         fwht(np.zeros(5))
+
+
+def _assert_bit_identical(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def _with_signed_zeros(values, rng):
+    """Random entries with +-0 and repeated values, so zero signs are exercised."""
+    values = values.copy()
+    flat = values.reshape(-1)
+    picks = rng.integers(flat.size, size=flat.size // 4 + 1)
+    flat[picks[0::3]] = 0.0
+    flat[picks[1::3]] = -0.0
+    flat[picks[2::3]] = flat[0]
+    return values
+
+
+def test_fwht_is_bit_identical_to_the_reference_butterfly():
+    # Report bytes depend on fwht's exact rounding and zero signs.
+    rng = np.random.default_rng(14)
+    inputs = [_with_signed_zeros(rng.normal(size=1 << k), rng) for k in range(17)]
+    for k in range(9):
+        for rows in (1, 3, 16, 512, 2295):
+            inputs.append(_with_signed_zeros(rng.normal(size=(rows, 1 << k)), rng))
+        shape = (1 << k, 1 << k)
+        inputs.append(_with_signed_zeros(rng.normal(size=shape) + 1j * rng.normal(size=shape), rng))
+    psi = generate_state("haar", 4, seed=3)
+    inputs += [psi.char_dist.values, psi.expectations, np.arange(64)]  # read-only and integer
+    for values in inputs:
+        before = values.copy()
+        _assert_bit_identical(fwht(values), reference_fwht(values))
+        _assert_bit_identical(values, before)
 
 
 def test_state_json_roundtrip():
