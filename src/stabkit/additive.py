@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .gf2 import GF2Subspace, WeylLabel, enumerate_subspaces, parse_labels
-from .state import DyadicTable, PureState, char_distribution, fwht, gamma_exact
+from .state import DyadicTable, PureState, char_distribution, dyadic_self_convolution, gamma_exact
 
 __all__ = [
     "GF2Set",
@@ -81,11 +81,7 @@ def representation_counts(S: GF2Set) -> dict:
     size = S.size
     if size < 1:
         raise ValidationError("set must be nonempty")
-    indicator = S.members.astype(np.float64)
-    spectrum = fwht(indicator)
-    np.multiply(spectrum, spectrum, out=spectrum)
-    r = fwht(spectrum)
-    r /= indicator.size
+    r = dyadic_self_convolution(S.members.astype(np.float64))
     np.rint(r, out=r)
     closure = float(r[S.members].sum() / (size * size))
     energy = int(np.dot(r, r))

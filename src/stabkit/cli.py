@@ -260,6 +260,8 @@ def _build_graph(cfg: dict) -> graphs.SimpleGraph:
         with open(cfg[key], encoding="ascii") as handle:
             return graphs.parse_graph(handle.read())
     value = cfg[key]
+    if key in ("complete", "empty", "cycle"):
+        graphs.check_theta_order(value)
     if key == "pauli_graph":
         return graphs.pauli_group_graph(value)
     if key == "symplectic_graph":
@@ -458,6 +460,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy takes only a non-negative integer seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid seed: {text!r} (need an integer >= 0)")
+    return value
+
+
 def _add_state_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", choices=_STATE_KINDS)
     sub.add_argument("--n", type=int)
@@ -479,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {"--seed": dict(type=int), "--out": dict(), "--format": dict(choices=("json", "csv"), default="json")}
+    common = {"--seed": dict(type=_seed), "--out": dict(), "--format": dict(choices=("json", "csv"), default="json")}
 
     def add(name):
         p = sub.add_parser(name)

@@ -6,7 +6,7 @@ picks one of two solvers by the size of the Schur complement, |E| + 1 rows:
 
 * up to IPM_MAX_ROWS (256) rows, a primal-dual interior-point method with
   the HKM direction (Helmberg-Rendl-Vanderbei-Wolkowicz 1996) and Mehrotra's
-  predictor-corrector, about ten iterations of one Cholesky each;
+  predictor-corrector, about ten iterations of one Schur solve each;
 * above it, Douglas-Rachford splitting with over-relaxation, whose
   iterations cost one n x n eigendecomposition regardless of |E|.
 
@@ -37,6 +37,7 @@ __all__ = [
     "complete_graph",
     "empty_graph",
     "cycle_graph",
+    "check_theta_order",
     "lovasz_theta",
     "parse_graph",
     "format_graph",
@@ -140,6 +141,13 @@ def symplectic_graph(k: int) -> SimpleGraph:
     return compose_graphs("complement", anti)
 
 
+def check_theta_order(order: int) -> None:
+    """Reject a vertex count theta cannot take, before any order x order allocation."""
+    _check_order(order)
+    if order > THETA_ORDER_CAP:
+        raise CapExceededError(f"theta solver capped at order {THETA_ORDER_CAP}, got {order}")
+
+
 def _check_order(order: int) -> None:
     if order < 1:
         raise ValidationError(f"graph order must be >= 1, got {order}")
@@ -233,7 +241,7 @@ class _Bracket:
 IPM_MAX_ROWS = 256  # Schur rows |E| + 1 up to which the interior-point path runs (512 KiB)
 _IPM_MAX_ITERATIONS = 50
 _IPM_STEP_FRACTION = 0.95  # of the distance to the PSD boundary
-_SOLVE_BLOCK = 64  # rows per block of the Schur build, its Cholesky factor and the substitutions
+_SOLVE_BLOCK = 64  # edge rows per block of the Schur build
 
 
 def _hkm_schur(x: np.ndarray, w: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -243,7 +251,9 @@ def _hkm_schur(x: np.ndarray, w: np.ndarray, u: np.ndarray, v: np.ndarray,
     An edge-edge entry is four gathered products,
     X[v_k,u_l] W[u_k,v_l] + X[u_k,v_l] W[v_k,u_l] + X[v_k,v_l] W[u_k,u_l]
     + X[u_k,u_l] W[v_k,v_l].  They are formed _SOLVE_BLOCK edge rows at a
-    time, so no temporary is larger than a block of rows.
+    time, so no temporary is larger than a block of rows.  Near a degenerate
+    optimum roundoff can make the matrix indefinite, so both solves of an
+    iteration take LU (np.linalg.solve), which fails only if it is singular.
     """
     xu, xv, wu, wv = x[u], x[v], w[u], w[v]
     for lo in range(0, len(u), _SOLVE_BLOCK):
@@ -256,51 +266,6 @@ def _hkm_schur(x: np.ndarray, w: np.ndarray, u: np.ndarray, v: np.ndarray,
     out[0, 0] = np.trace(wx)
     out[0, 1:] = wx[u, v] + wx[v, u]
     out[1:, 0] = out[0, 1:]
-
-
-def _cholesky_in_place(a: np.ndarray) -> None:
-    """Overwrite the lower triangle of ``a`` with its Cholesky factor.
-
-    Left-looking by blocks of _SOLVE_BLOCK columns, so no temporary is
-    larger than a block column; raises LinAlgError when ``a`` is not
-    numerically positive definite.
-    """
-    size = len(a)
-    for lo in range(0, size, _SOLVE_BLOCK):
-        hi = min(lo + _SOLVE_BLOCK, size)
-        a[lo:, lo:hi] -= a[lo:, :lo] @ a[lo:hi, :lo].T
-        a[lo:hi, lo:hi] = np.linalg.cholesky(a[lo:hi, lo:hi])
-        a[hi:, lo:hi] = np.linalg.solve(a[lo:hi, lo:hi], a[hi:, lo:hi].T).T
-
-
-def _cholesky_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = rhs by forward and back substitution over the factor's blocks."""
-    x = rhs.copy()
-    size = len(x)
-    for lo in range(0, size, _SOLVE_BLOCK):
-        hi = min(lo + _SOLVE_BLOCK, size)
-        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi], x[lo:hi] - chol[lo:hi, :lo] @ x[:lo])
-    for lo in reversed(range(0, size, _SOLVE_BLOCK)):  # the factor's own diagonal blocks
-        hi = min(lo + _SOLVE_BLOCK, size)
-        x[lo:hi] = np.linalg.solve(chol[lo:hi, lo:hi].T, x[lo:hi] - chol[hi:, lo:hi].T @ x[hi:])
-    return x
-
-
-def _schur_solver(x, w, u, v, schur: np.ndarray):
-    """Build the Schur matrix into ``schur``; a solver for it.
-
-    One Cholesky factor, computed in place, serves both solves of an
-    iteration.  Near a degenerate optimum roundoff can make the matrix
-    numerically indefinite; it is then rebuilt and solved by LU, which
-    raises LinAlgError only for a singular matrix.
-    """
-    _hkm_schur(x, w, u, v, schur)
-    try:
-        _cholesky_in_place(schur)
-    except np.linalg.LinAlgError:
-        _hkm_schur(x, w, u, v, schur)
-        return lambda rhs: np.linalg.solve(schur, rhs)
-    return lambda rhs: _cholesky_solve(schur, rhs)
 
 
 def _max_step(inv_chol: np.ndarray, direction: np.ndarray) -> float:
@@ -340,14 +305,14 @@ def _theta_ipm(edges: np.ndarray, tol: float) -> tuple[_Bracket, int, bool]:
             inv_chol_x = np.linalg.solve(np.linalg.cholesky(x), eye)
             inv_chol_z = np.linalg.solve(np.linalg.cholesky(z), eye)
             w = inv_chol_z.T @ inv_chol_z
-            solve = _schur_solver(x, w, u, v, schur)
+            _hkm_schur(x, w, u, v, schur)
             primal_residual = -constraint_map(x)
             primal_residual[0] += 1.0
             mu = float(np.sum(x * z)) / order
 
             def newton(target):
                 # dX = target - sym(X dZ W) with A(dX) = r_p, dZ = A^T(dy).
-                dy = solve(constraint_map(target) - primal_residual)
+                dy = np.linalg.solve(schur, constraint_map(target) - primal_residual)
                 dz = _edge_matrix(order, u, v, dy[1:]) + dy[0] * eye
                 k = x @ dz @ w
                 return target - 0.5 * (k + k.T), dz, dy
@@ -421,9 +386,7 @@ def lovasz_theta(g: SimpleGraph, tol: float = 1e-6) -> ThetaResult:
     Each path stops once the best certified pair is within tol; otherwise
     it returns converged=False with the best pair it found.
     """
-    order = g.order
-    if order > THETA_ORDER_CAP:
-        raise CapExceededError(f"theta solver capped at order {THETA_ORDER_CAP}, got {order}")
+    check_theta_order(g.order)
     if not 1e-8 <= tol <= 1e-3:
         raise ValidationError(f"tol must lie in [1e-8, 1e-3], got {tol}")
     edges = g.adjacency
@@ -459,6 +422,7 @@ def parse_graph(text: str) -> SimpleGraph:
         order = int(lines[0])
     except ValueError as exc:
         raise ValidationError(f"bad vertex count line: {lines[0]!r}") from exc
+    check_theta_order(order)  # graph files feed the theta solver
     adj = np.zeros((order, order), dtype=bool)
     for ln in lines[1:]:
         parts = ln.split()

@@ -23,6 +23,7 @@ __all__ = [
     "PureState",
     "DyadicTable",
     "fwht",
+    "dyadic_self_convolution",
     "apply_weyl",
     "weyl_matrix",
     "weyl_expectation",
@@ -166,6 +167,19 @@ def fwht(values: np.ndarray) -> np.ndarray:
     return src
 
 
+def dyadic_self_convolution(values: np.ndarray) -> np.ndarray:
+    """(f * f)(x) = sum_y f(y) f(x + y) over F2^(2n), for f = ``values``.
+
+    Transform, square in place, transform back, divide by the length; this
+    order is part of the rounding that report bytes depend on.
+    """
+    spectrum = fwht(values)
+    np.multiply(spectrum, spectrum, out=spectrum)
+    out = fwht(spectrum)
+    out /= values.size
+    return out
+
+
 def _check_n(state: PureState, x: WeylLabel) -> None:
     if state.n != x.n:
         raise ValidationError(f"qubit-count mismatch: state n={state.n}, label n={x.n}")
@@ -243,10 +257,7 @@ def weyl_distribution(p: DyadicTable) -> DyadicTable:
     """Weyl distribution q(x) = sum_y p(y) p(x+y), via the dyadic transform."""
     if p.kind != "char_dist":
         raise ValidationError(f"weyl_distribution expects a char_dist, got {p.kind}")
-    spectrum = fwht(p.values)
-    np.multiply(spectrum, spectrum, out=spectrum)
-    q = fwht(spectrum)
-    q /= p.values.size
+    q = dyadic_self_convolution(p.values)
     # Convolution roundoff can leave ~1e-17 negatives; clip those only.
     if q.min() < -1e-12:
         raise CertificateError(f"convolution negativity {q.min()!r} (engine bug)")
@@ -376,11 +387,13 @@ def state_to_json_dict(state: PureState) -> dict:
 
 def state_from_json_dict(payload: dict) -> PureState:
     try:
-        n = int(payload["n"])
+        n = payload["n"]
         re = np.asarray(payload["re"], dtype=np.float64)
         im = np.asarray(payload["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad state payload: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, int):  # 1.5 must not run as n = 1
+        raise ValidationError(f"state n must be an integer, got {n!r}")
     if re.shape != im.shape:
         raise ValidationError("re/im arrays differ in length")
     return PureState(re + 1j * im, n)

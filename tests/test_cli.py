@@ -371,6 +371,31 @@ def test_state_file_rejects_non_finite(tmp_path, capsys, token):
     assert "finite" in capsys.readouterr().err
 
 
+def test_state_file_rejects_non_integer_n(tmp_path, capsys):
+    state_path = tmp_path / "bad.json"
+    state_path.write_text('{"n": 1.5, "re": [1, 0], "im": [0, 0]}')
+    assert cli.main(["fidelity", "--state-file", str(state_path)]) == 2
+    assert "state n must be an integer, got 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["theta", "--complete", "100000"], 4),
+        (["theta", "--cycle", "100000"], 4),
+        (["theta", "--graph-file", "{dir}/negative.txt"], 2),
+        (["theta", "--graph-file", "{dir}/huge.txt"], 4),
+    ],
+    ids=["complete-huge", "cycle-huge", "file-negative", "file-huge"],
+)
+def test_theta_order_checked_before_allocation(tmp_path, capsys, argv, code):
+    # Each of these once allocated order x order first and ended in a traceback.
+    (tmp_path / "negative.txt").write_text("-1\n")
+    (tmp_path / "huge.txt").write_text("100000\n")
+    assert cli.main([arg.format(dir=tmp_path) for arg in argv]) == code
+    assert ("cap exceeded" if code == 4 else "validation error") in capsys.readouterr().err
+
+
 def test_theta_graph_file_non_integer_edge(tmp_path, capsys):
     graph_path = tmp_path / "bad.txt"
     graph_path.write_text("3\n0 1\n1 x\n")
@@ -456,6 +481,33 @@ def test_non_finite_float_flag_exits_2(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "need a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--kind", "haar", "--n", "2", "--exact", "--seed", "-1"],
+        ["gamma", "--kind", "haar", "--n", "2", "--seed", "-1"],
+        ["test", "--kind", "haar", "--n", "1", "--eps1", "0.9", "--eps2", "0", "--seed", "-1"],
+        ["fidelity", "--kind", "haar", "--n", "2", "--seed", "-1"],
+        ["sandwich-sweep", "--seed", "-1"],
+        ["uncertainty", "--kind", "haar", "--n", "1", "--seed", "-1"],
+        ["extract", "--kind", "haar", "--n", "1", "--seed", "-1"],
+        ["bsg", "--n", "1", "--seed", "-1"],
+        ["cover", "--n", "1", "--seed", "-1"],
+        ["--config", "{cfg}", "fidelity", "--kind", "haar", "--n", "2"],
+    ],
+    ids=["gamma-exact", "gamma", "test", "fidelity", "sandwich-sweep", "uncertainty",
+         "extract", "bsg", "cover", "config"],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    # numpy rejects a negative seed deep inside the command; the flag's type rejects it first.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": -1}')
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(cfg=cfg) for arg in argv])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid seed: '-1' (need an integer >= 0)" in capsys.readouterr().err
 
 
 def test_non_finite_config_value_exits_2(tmp_path, capsys):

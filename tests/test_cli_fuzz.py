@@ -1,7 +1,8 @@
 """Bounded CLI fuzz: any flag values on cheap commands end in exit 0, 2, 3 or 4.
 
-Sizes run over [-3, 3], qubit counts up to 2, graph orders up to 4, and
-float flags include NaN and inf.  Every flag is passed as --flag=value, so
+Sizes run over [-3, 3], qubit counts up to 2, seeds over [-3, 50], graph
+orders up to 4 plus 65 and 10**6 (both above the theta cap), and float
+flags include NaN and inf.  Every flag is passed as --flag=value, so
 a negative number reaches the flag's type and is not read as an option.
 An exit of 0 must also leave no NaN or Infinity token in the report.
 """
@@ -32,7 +33,7 @@ def _argv(draw) -> list[str]:
     command = draw(st.sampled_from(
         ["gamma", "test", "fidelity", "sandwich-sweep", "theta", "uncertainty", "extract",
          "bsg", "cover"]))
-    seed = draw(st.integers(0, 50))
+    seed = draw(st.integers(-3, 50))
     state = _flags(kind=draw(KINDS), n=draw(QUBITS), seed=seed)
     if command == "gamma":
         extra = ["--exact"] if draw(st.booleans()) else _flags(m=draw(SIZES))
@@ -47,7 +48,8 @@ def _argv(draw) -> list[str]:
                                            seed=seed)
     if command == "theta":
         source = draw(st.sampled_from(["complete", "empty", "cycle"]))
-        return ["theta"] + _flags(**{source: draw(st.integers(-3, 4))}, tol=draw(FLOATS))
+        order = draw(st.one_of(st.integers(-3, 4), st.sampled_from([65, 10**6])))
+        return ["theta"] + _flags(**{source: order}, tol=draw(FLOATS))
     if command == "uncertainty":
         return ["uncertainty"] + state + _flags(random_labels=draw(SIZES),
                                                 theta_tol=draw(FLOATS), restarts=draw(SIZES))

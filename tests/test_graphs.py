@@ -117,21 +117,6 @@ def test_theta_solver_chosen_by_schur_rows():
     assert dense.value <= 8.0 <= dense.upper
 
 
-@pytest.mark.parametrize("size", [1, 5, 64, 65, 150, 256])
-def test_blocked_cholesky_matches_numpy(size):
-    rng = np.random.default_rng(size)
-    root = rng.normal(size=(size, size))
-    spd = root @ root.T + size * np.eye(size)
-    factor = spd.copy()
-    graphs._cholesky_in_place(factor)
-    np.testing.assert_allclose(np.tril(factor), np.linalg.cholesky(spd), atol=1e-12)
-    rhs = rng.normal(size=size)
-    np.testing.assert_allclose(graphs._cholesky_solve(factor, rhs), np.linalg.solve(spd, rhs),
-                               atol=1e-12)
-    with pytest.raises(np.linalg.LinAlgError):
-        graphs._cholesky_in_place(-spd)
-
-
 @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-6, 1e-5, 1e-3])
 def test_theta_bracket_meets_tol_or_says_not_converged(tol):
     rng = np.random.default_rng(12)
@@ -208,3 +193,11 @@ def test_graph_text_roundtrip():
     np.testing.assert_array_equal(g.adjacency, again.adjacency)
     with pytest.raises(ValidationError):
         parse_graph("3\n0 3\n")
+
+
+@pytest.mark.parametrize("count, error", [("-1", ValidationError), ("65", CapExceededError),
+                                          ("100000", CapExceededError)])
+def test_graph_text_order_checked_before_allocation(count, error):
+    # 100000 vertices would be a 9.3 GiB adjacency matrix.
+    with pytest.raises(error):
+        parse_graph(count + "\n")

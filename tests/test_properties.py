@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabkit import graphs
-from stabkit.gf2 import WeylLabel, _reduce_rows, symplectic_form
+from stabkit.gf2 import WeylLabel, _reduce_rows, isotropic_cover, random_subspace, symplectic_form
 from stabkit.graphs import SimpleGraph, lovasz_theta
-from stabkit.state import fwht, generate_state, weyl_expectation
+from stabkit.sampling import BellSampler
+from stabkit.state import fwht, generate_state, weyl_distribution, weyl_expectation
 
 # Fixed examples on every run, no example database written to the tree.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -65,6 +67,48 @@ def test_expectation_table_matches_per_label_expectation(kind, n, seed, data):
     psi = generate_state(kind, n, seed, noise=0.1)
     for bits in data.draw(st.lists(st.integers(0, (1 << (2 * n)) - 1), min_size=1, max_size=6)):
         assert abs(psi.expectations[bits] - weyl_expectation(psi, WeylLabel(bits, n))) <= 1e-12
+
+
+STATES = st.tuples(st.sampled_from(["haar", "stabilizer", "t_tensor", "noisy_stabilizer"]),
+                   st.integers(1, 3), st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(STATES)
+def test_difference_of_two_p_draws_has_law_q(case):
+    # q(x) = sum_y p(y) p(x + y) is the law of a + b for independent a, b ~ p.
+    kind, n, seed = case
+    psi = generate_state(kind, n, seed, noise=0.1)
+    p = psi.char_dist.values
+    labels = np.arange(p.size)
+    exact = np.array([np.dot(p, p[labels ^ x]) for x in labels])
+    q = weyl_distribution(psi.char_dist).values
+    np.testing.assert_allclose(q, exact, rtol=0.0, atol=1e-15)
+
+    # Hoeffding with a union bound over the 4^n labels: each empirical
+    # frequency of m rounds is within the radius except with probability delta.
+    m, delta = 20_000, 1e-9
+    diffs, _ = BellSampler(psi).rounds(m, np.random.default_rng(seed))
+    radius = math.sqrt(math.log(2 * p.size / delta) / (2 * m))
+    assert np.max(np.abs(np.bincount(diffs, minlength=p.size) / m - q)) <= radius
+
+
+@PROPERTY
+@example((6, 12, 0))  # all of F2^12
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2 * n), st.integers(0, 2**32 - 1))))
+def test_isotropic_cover_is_exact_on_random_subspaces(case):
+    n, dim, seed = case
+    V = random_subspace(n, dim, np.random.default_rng(seed))
+    parts = isotropic_cover(V)
+    assert len(parts) <= (1 << V.k) + 1
+    members = set(V.element_bits)
+    covered = set()
+    for part in parts:
+        assert part.n == n and part.is_isotropic
+        assert set(part.element_bits) <= members
+        covered |= set(part.element_bits)
+    assert covered == members
 
 
 @st.composite

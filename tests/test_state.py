@@ -281,3 +281,10 @@ def test_state_json_roundtrip():
     np.testing.assert_array_equal(psi.amplitudes, again.amplitudes)
     with pytest.raises(ValidationError):
         state_from_json_dict({"n": 1, "re": [1, 0]})
+
+
+@pytest.mark.parametrize("n", [1.5, 1.0, True, "1", None])
+def test_state_json_needs_an_integer_n(n):
+    # int(1.5) would silently run the state as n = 1.
+    with pytest.raises(ValidationError, match="integer"):
+        state_from_json_dict({"n": n, "re": [1, 0], "im": [0, 0]})
