@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .gf2 import GF2Subspace, WeylLabel, enumerate_subspaces, parse_labels
-from .state import DyadicTable, PureState, char_distribution, dyadic_self_convolution, gamma_exact
+from .state import (TABLE_QUBIT_CAP, DyadicTable, PureState, char_distribution,
+                    dyadic_self_convolution, gamma_exact)
 
 __all__ = [
     "GF2Set",
@@ -30,7 +31,14 @@ __all__ = [
     "find_heavy_translate",
     "parse_set",
     "format_set",
+    "check_set_qubits",
 ]
+
+
+def check_set_qubits(n: int) -> None:
+    """A dense set holds 4^n entries: refuse n above TABLE_QUBIT_CAP before allocating."""
+    if n > TABLE_QUBIT_CAP:
+        raise CapExceededError(f"dense sets capped at n={TABLE_QUBIT_CAP}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,7 @@ class GF2Set:
 
     @classmethod
     def from_indices(cls, indices, n: int) -> "GF2Set":
+        check_set_qubits(n)
         mem = np.zeros(1 << (2 * n), dtype=bool)
         mem[np.asarray(list(indices), dtype=np.int64)] = True
         return cls(mem, n)

@@ -286,6 +286,8 @@ def _cmd_theta(cfg: dict) -> tuple[dict, dict]:
         "iterations": result.iterations,
         "residuals": result.residuals,
         "upper": result.upper,
+        "gap": result.gap,
+        "converged": result.converged,
     }, {}
 
 
@@ -316,8 +318,10 @@ def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
         "witness": cert.witness.tolist(),
     }, {
         "theta_lower": cert.theta.value,
+        "theta_gap": cert.theta.gap,
         "theta_iterations": cert.theta.iterations,
         "theta_solver": cert.theta.solver,
+        "ascent_steps": cert.ascent_steps,
     }
 
 
@@ -346,6 +350,7 @@ def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
         if cfg["n"] is None:
             raise ValidationError("--n is required without --set-file")
         n = cfg["n"]
+        additive.check_set_qubits(n)
         V = gf2.random_subspace(n, _get(cfg, "subspace_dim", n), rng)
         room = (1 << (2 * n)) - V.size  # labels left for junk; more would never be drawn
         if not 0 <= cfg["junk"] <= room:

@@ -20,6 +20,7 @@ from .errors import CapExceededError, ValidationError
 
 __all__ = [
     "LAGRANGIAN_QUBIT_CAP",
+    "RANDOM_QUBIT_CAP",
     "WeylLabel",
     "GF2Subspace",
     "SymplecticDecomposition",
@@ -38,6 +39,8 @@ __all__ = [
 
 # Largest n whose Lagrangians are enumerated (and so the exact oracle's cap).
 LAGRANGIAN_QUBIT_CAP = 4
+# Largest n whose labels rng.integers can draw: 2n bits must fit in an int64.
+RANDOM_QUBIT_CAP = 31
 
 
 @dataclass(frozen=True, order=True)
@@ -436,6 +439,8 @@ def random_subspace(n: int, dim: int, rng) -> GF2Subspace:
         raise ValidationError(f"qubit count must be >= 1, got {n}")
     if not 0 <= dim <= 2 * n:
         raise ValidationError(f"dimension {dim} out of range for 2n={2 * n}")
+    if n > RANDOM_QUBIT_CAP:
+        raise CapExceededError(f"random subspaces capped at n={RANDOM_QUBIT_CAP}, got {n}")
     basis: list[int] = []
     while len(basis) < dim:
         cand = int(rng.integers(1, 1 << (2 * n)))

@@ -192,6 +192,10 @@ class ThetaResult:
     converged: bool
     solver: str  # "ipm" or "dr"
 
+    @property
+    def gap(self) -> float:
+        return self.upper - self.value
+
 
 def _edge_matrix(order: int, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The symmetric matrix sum_e weights_e E_e, with E_e = e_u e_v^T + e_v e_u^T."""

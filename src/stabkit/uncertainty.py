@@ -3,9 +3,10 @@
 For a label set A and any pure state, sum_i <A_i>^2 is at most the maximum
 operator norm of a squared unit-coefficient combination of the A_i, which
 in turn is at most the Lovasz theta of the anti-commutation graph.  The
-middle quantity is nonconvex; this module computes a certified lower bound
-by multi-start projected-gradient ascent (the chain only ever needs that
-bound sandwiched against theta).
+middle quantity is nonconvex; this module bounds it from below by a
+multi-start fixed-point ascent, a <- mu g/|mu g| with g_k = <v|W_k|v> at the
+extreme eigenpair (mu, v) of H(a), which never lowers mu^2 because
+mu(a')^2 >= <v|H(a')|v>^2 = |g|^2 >= (a.g)^2 = mu(a)^2.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ HAMILTONIAN_QUBIT_CAP = 6
 _COEFF_NORM_TOL = 1e-10
 # Slack of the chain's theta links: eigensolver roundoff, not solver tolerance.
 _ROUNDOFF = 1e-9
-# Projected-gradient ascent: first trial step, stopping gradient norm, step cap.
-_ASCENT_STEP0 = 0.1
-_ASCENT_GRAD_TOL = 1e-9
+# Fixed-point ascent: relative tol of the stopping gap |g|^2 - mu^2 and of a mix's loss; cap.
+_ASCENT_TOL = 1e-12
 _ASCENT_MAX_STEPS = 500
 
 
@@ -79,8 +79,11 @@ def _stacked_matrices(labels: list[WeylLabel]) -> np.ndarray:
 
 def hamiltonian_norm_sq(spec: HamiltonianSpec) -> float:
     """lambda_max(H^2) for H = sum_i a_i W_i, via dense eigendecomposition."""
-    mats = _stacked_matrices(list(spec.labels))
-    mu, _ = _extreme_eigpairs(np.tensordot(spec.coefficients, mats, axes=1)[None])
+    return _norm_sq(_stacked_matrices(list(spec.labels)), spec.coefficients)
+
+
+def _norm_sq(mats: np.ndarray, coeffs: np.ndarray) -> float:
+    mu, _ = _extreme_eigpairs(np.tensordot(coeffs, mats, axes=1)[None])
     return float(mu[0] * mu[0])
 
 
@@ -95,64 +98,56 @@ def _extreme_eigpairs(hams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[rows, idx], vecs[rows, :, idx]
 
 
-def _ascend(mats: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projected-gradient ascent on the coefficient sphere from every start, in lockstep.
+def _fixed_point_round(flat: np.ndarray, flat_conj: np.ndarray, dim: int,
+                       a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a, by one stacked eigh: mu(a)^2, the gap |g|^2 - mu^2 and mu g / |mu g|.
 
-    Each backtracking round evaluates one candidate per unfinished ascent,
-    a + step * grad renormalized, with one stacked eigh: a step of
-    _ASCENT_STEP0 after an accepted move, half the last step after a
-    rejected one.  An ascent stops when its gradient is below
-    _ASCENT_GRAD_TOL, its step reaches 1e-12 without improving, or it has
-    taken _ASCENT_MAX_STEPS steps.  Returns each start's best mu^2 and argument.
+    flat, flat_conj: real views (re, im interleaved) of the flattened label matrices
+    and their conjugates, so that both contractions are real matmuls.
+    """
+    mu, vecs = _extreme_eigpairs((a @ flat).view(np.complex128).reshape(-1, dim, dim))
+    outer = np.conj(vecs)[:, :, None] * vecs[:, None, :]
+    g = outer.reshape(len(vecs), -1).view(np.float64) @ flat_conj.T
+    g_sq = np.einsum("ij,ij->i", g, g)
+    value = mu * mu
+    return value, g_sq - value, (np.sign(mu) / np.sqrt(g_sq))[:, None] * g
+
+
+def _ascend(mats: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fixed-point ascent of mu(a)^2 on the coefficient sphere from every start, in lockstep.
+
+    The plain step a' = mu g / |mu g| never lowers mu^2, since
+    mu(a')^2 >= <v|H(a')|v>^2 = |g|^2 >= (a.g)^2 = mu(a)^2, but crawls near flat
+    maxima.  Each round therefore evaluates the Anderson(1) mix of a start's last
+    two plain steps; a mix that lowers mu^2 by more than _ASCENT_TOL is dropped for
+    the plain step from the last accepted point.  A start stops at an accepted point
+    with |g|^2 - mu^2 <= _ASCENT_TOL * max(mu^2, 1), or after _ASCENT_MAX_STEPS
+    rounds.  Returns each start's best mu^2 and argument, and the rounds taken.
     """
     count, dim = mats.shape[0], mats.shape[1]
-    # Real views of the complex entries (re, im interleaved): the coefficients are
-    # real, so both contractions are real matmuls.
     flat = mats.reshape(count, dim * dim).view(np.float64)
     flat_conj = np.conj(mats).reshape(count, dim * dim).view(np.float64)
-
-    def evaluate(coeffs):
-        return _extreme_eigpairs((coeffs @ flat).view(np.complex128).reshape(-1, dim, dim))
-
-    def gradient(coeffs, mu, vecs):
-        # d mu^2 / d a_k = 2 mu Re <v|W_k|v>, projected onto the sphere's tangent space.
-        outer = np.conj(vecs)[:, :, None] * vecs[:, None, :]
-        grad = 2.0 * mu[:, None] * (outer.reshape(len(vecs), -1).view(np.float64) @ flat_conj.T)
-        return grad - np.sum(grad * coeffs, axis=1, keepdims=True) * coeffs
-
-    def norms(rows):
-        return np.sqrt(np.einsum("ij,ij->i", rows, rows))
-
-    a = starts / norms(starts)[:, None]
-    mu, vecs = evaluate(a)
-    value = mu * mu
-    grad = gradient(a, mu, vecs)
-    best_value, best_arg = value.copy(), a.copy()
-    # The unfinished ascents, compacted: their start index and state.
-    live = norms(grad) >= _ASCENT_GRAD_TOL
-    idx, a, value, grad = np.flatnonzero(live), a[live], value[live], grad[live]
-    step = np.full(len(idx), _ASCENT_STEP0)
-    taken = np.zeros(len(idx), dtype=np.int64)
-    while idx.size:
-        cand = a + step[:, None] * grad
-        cand /= norms(cand)[:, None]
-        mu_c, vecs_c = evaluate(cand)
-        value_c = mu_c * mu_c
-        up = value_c > value
-        if up.any():
-            a[up], value[up] = cand[up], value_c[up]
-            grad[up] = gradient(cand[up], mu_c[up], vecs_c[up])
-            step[up] = _ASCENT_STEP0
-            taken[up] += 1
-        step[~up] *= 0.5
-        live = np.where(up, (taken < _ASCENT_MAX_STEPS) & (norms(grad) >= _ASCENT_GRAD_TOL),
-                        step > 1e-12)
-        if not live.all():
-            done = ~live
-            best_value[idx[done]], best_arg[idx[done]] = value[done], a[done]
-            idx, a, value, grad, step, taken = (
-                arr[live] for arr in (idx, a, value, grad, step, taken))
-    return best_value, best_arg
+    a = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    best_value, best_arg = np.zeros(len(a)), a.copy()
+    last_a, last_next = a.copy(), a.copy()  # the last accepted point and its plain step
+    idx = np.arange(len(a))  # the unfinished starts
+    steps = 0
+    while idx.size and steps < _ASCENT_MAX_STEPS:
+        steps += 1
+        value, gap, nxt = _fixed_point_round(flat, flat_conj, dim, a)
+        up = value > best_value[idx]
+        best_value[idx[up]], best_arg[idx[up]] = value[up], a[up]
+        ok = value >= best_value[idx] - _ASCENT_TOL * np.maximum(best_value[idx], 1.0)
+        # Anderson(1): residuals r = a' - a of this and the last accepted step.
+        res, res_diff = nxt - a, nxt - a - last_next[idx] + last_a[idx]
+        mix = (steps > 1) * np.einsum("ij,ij->i", res, res_diff) / np.maximum(
+            np.einsum("ij,ij->i", res_diff, res_diff), 1e-300)
+        mixed = nxt - mix[:, None] * (nxt - last_next[idx])
+        mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
+        last_a[idx[ok]], last_next[idx[ok]] = a[ok], nxt[ok]
+        live = ~ok | (gap > _ASCENT_TOL * np.maximum(value, 1.0))
+        idx, a = idx[live], np.where(ok[:, None], mixed, last_next[idx])[live]
+    return best_value, best_arg, steps
 
 
 def psi0_lower_bound(
@@ -163,21 +158,24 @@ def psi0_lower_bound(
 ) -> dict:
     """Certified lower bound on the max squared operator norm over unit coefficients.
 
-    Projected-gradient ascent on the coefficient sphere from ``restarts``
-    random starts (plus any supplied seed starts); every evaluation is a
-    true norm, so the best value found is a valid lower bound.
+    The ascent runs from ``restarts`` random starts plus any seed starts; every value
+    it keeps is a true norm.  ``steps`` counts its lockstep rounds.
     """
+    _check_labels(labels)
+    return _psi0(_stacked_matrices(labels), restarts, rng, seed_starts)
+
+
+def _psi0(mats: np.ndarray, restarts: int, rng: np.random.Generator | None,
+          seed_starts: list[np.ndarray] | None) -> dict:
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     if rng is None:
         rng = np.random.default_rng(0)
-    _check_labels(labels)
-    count = len(labels)
     starts = [np.asarray(s, dtype=np.float64) for s in seed_starts or []]
-    starts += [rng.normal(size=count) for _ in range(restarts)]
-    values, args = _ascend(_stacked_matrices(labels), np.array(starts))
+    starts += [rng.normal(size=len(mats)) for _ in range(restarts)]
+    values, args, steps = _ascend(mats, np.array(starts))
     best = int(np.argmax(values))  # the first start reaching the maximum
-    return {"value": float(values[best]), "argmax": args[best]}
+    return {"value": float(values[best]), "argmax": args[best], "steps": steps}
 
 
 @dataclass(frozen=True)
@@ -186,6 +184,7 @@ class UncertaintyCertificate:
     witness: np.ndarray
     psi0_lb: float
     theta: ThetaResult  # the certified bracket on theta(Gamma_A)
+    ascent_steps: int  # lockstep rounds of the psi0 ascent
 
     @property
     def theta_ub(self) -> float:
@@ -213,20 +212,19 @@ def uncertainty_certificate(
     witness = state.expectations[[lab.bits for lab in labels]]
     lhs = float(np.dot(witness, witness))
     norm = float(np.linalg.norm(witness))
+    mats = _stacked_matrices(labels)
 
-    seed_starts = []
+    seed_starts, seed_norm_sq = [], 0.0
     if norm > 1e-12:
         seed = witness / norm
-        seed_norm_sq = hamiltonian_norm_sq(HamiltonianSpec(tuple(labels), seed))
+        seed_norm_sq = _norm_sq(mats, seed)
         if lhs > norm * np.sqrt(seed_norm_sq) + 1e-9:
             raise CertificateError(
                 f"witness bound failed: lhs {lhs!r} vs {norm * np.sqrt(seed_norm_sq)!r}"
             )
         seed_starts.append(seed)
-    else:
-        seed_norm_sq = 0.0
 
-    ascent = psi0_lower_bound(labels, restarts, rng, seed_starts=seed_starts)
+    ascent = _psi0(mats, restarts, rng, seed_starts)
     psi0_lb = max(float(ascent["value"]), seed_norm_sq)
     theta = lovasz_theta(anticommutation_graph(labels), theta_tol)
     if not theta.converged:
@@ -242,4 +240,5 @@ def uncertainty_certificate(
         raise CertificateError(f"chain failed: psi0 bound {psi0_lb!r} > theta {theta.upper!r}")
     if lhs > theta.upper + _ROUNDOFF:
         raise CertificateError(f"chain failed: lhs {lhs!r} > theta {theta.upper!r}")
-    return UncertaintyCertificate(lhs=lhs, witness=witness, psi0_lb=psi0_lb, theta=theta)
+    return UncertaintyCertificate(lhs=lhs, witness=witness, psi0_lb=psi0_lb, theta=theta,
+                                  ascent_steps=ascent["steps"])

@@ -16,7 +16,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 import stabkit.gf2 as gf2  # noqa: E402
-from stabkit.gf2 import GF2Subspace  # noqa: E402
+from stabkit.gf2 import GF2Subspace, WeylLabel  # noqa: E402
+from stabkit.uncertainty import _fixed_point_round, _stacked_matrices  # noqa: E402
 
 
 def reference_fwht(values: np.ndarray) -> np.ndarray:
@@ -83,3 +84,11 @@ def bfs_lagrangians(n: int) -> tuple[GF2Subspace, ...]:
                 nxt.add(gf2._reduce_rows(basis + (cand,)))
         level = nxt
     return tuple(GF2Subspace(b, n) for b in sorted(level))
+
+
+def fixed_point_round(labels: list[WeylLabel], a: np.ndarray):
+    """One psi0 ascent round at the rows of a: (mu^2, gap |g|^2 - mu^2, next point)."""
+    mats = _stacked_matrices(labels)
+    flat = mats.reshape(len(mats), -1).view(np.float64)
+    flat_conj = np.conj(mats).reshape(len(mats), -1).view(np.float64)
+    return _fixed_point_round(flat, flat_conj, mats.shape[1], np.atleast_2d(a))

@@ -234,8 +234,9 @@ def test_theta_and_uncertainty_report_the_bracket(tmp_path):
     code, payload = run_to_file(tmp_path, "th.json", ["theta", "--cycle", "5"])
     assert code == 0
     res = json.loads(payload)["results"]
-    assert list(res) == ["value", "order", "iterations", "residuals", "upper"]
+    assert list(res) == ["value", "order", "iterations", "residuals", "upper", "gap", "converged"]
     assert res["value"] <= 5**0.5 <= res["upper"] <= res["value"] + 1e-6
+    assert res["gap"] == res["upper"] - res["value"] and res["converged"] is True
 
     code, payload = run_to_file(
         tmp_path, "u.json",
@@ -244,9 +245,12 @@ def test_theta_and_uncertainty_report_the_bracket(tmp_path):
     assert code == 0
     doc = json.loads(payload)
     summary = doc["summary"]
-    assert list(summary) == ["theta_lower", "theta_iterations", "theta_solver"]
+    assert list(summary) == ["theta_lower", "theta_gap", "theta_iterations", "theta_solver",
+                             "ascent_steps"]
     assert summary["theta_solver"] == "ipm" and summary["theta_iterations"] >= 1
     assert summary["theta_lower"] <= doc["results"]["theta_ub"] <= summary["theta_lower"] + 1e-6
+    assert summary["theta_gap"] == doc["results"]["theta_ub"] - summary["theta_lower"]
+    assert 1 <= summary["ascent_steps"] <= 500
 
 
 def test_unconverged_theta_fails_the_certificate(monkeypatch, capsys):
@@ -394,6 +398,26 @@ def test_theta_order_checked_before_allocation(tmp_path, capsys, argv, code):
     (tmp_path / "huge.txt").write_text("100000\n")
     assert cli.main([arg.format(dir=tmp_path) for arg in argv]) == code
     assert ("cap exceeded" if code == 4 else "validation error") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "--n", "40", "--dim", "1", "--seed", "1"],
+        ["bsg", "--n", "40", "--subspace-dim", "1", "--seed", "1"],
+        ["bsg", "--n", "9", "--subspace-dim", "1", "--seed", "1"],
+        ["bsg", "--set-file", "{dir}/n9.txt", "--seed", "1"],
+        ["bsg", "--set-file", "{dir}/n40.txt", "--seed", "1"],
+    ],
+    ids=["cover-n40", "bsg-n40", "bsg-n9", "bsg-file-n9", "bsg-file-n40"],
+)
+def test_random_and_dense_set_sizes_capped_before_allocation(tmp_path, capsys, argv):
+    # cover and bsg at n = 40 once ended in a traceback from rng.integers; bsg
+    # builds 4^n tables, so its n is capped at the table cap before any is built.
+    (tmp_path / "n9.txt").write_text("0" * 18 + "\n")
+    (tmp_path / "n40.txt").write_text("0" * 80 + "\n")
+    assert cli.main([arg.format(dir=tmp_path) for arg in argv]) == 4
+    assert "cap exceeded" in capsys.readouterr().err
 
 
 def test_theta_graph_file_non_integer_edge(tmp_path, capsys):

@@ -262,6 +262,14 @@ def test_lagrangian_cap():
         list(enumerate_lagrangians(5))
 
 
+def test_random_subspace_cap():
+    # Labels are drawn as int64, so 2n = 62 is the widest that can be drawn.
+    rng = np.random.default_rng(0)
+    assert random_subspace(rng, 31, 2).dim == 2
+    with pytest.raises(CapExceededError):
+        random_subspace(rng, 32, 1)
+
+
 def test_subspace_text_roundtrip():
     V = span_and_classify([WeylLabel.from_string("1010"), WeylLabel.from_string("0101")])
     assert parse_subspace(format_subspace(V)) == V

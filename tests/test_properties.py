@@ -10,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fixed_point_round
 from stabkit import graphs
 from stabkit.gf2 import WeylLabel, _reduce_rows, isotropic_cover, random_subspace, symplectic_form
 from stabkit.graphs import SimpleGraph, lovasz_theta
 from stabkit.sampling import BellSampler
 from stabkit.state import fwht, generate_state, weyl_distribution, weyl_expectation
+from stabkit.uncertainty import HamiltonianSpec, hamiltonian_norm_sq
 
 # Fixed examples on every run, no example database written to the tree.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -156,3 +158,22 @@ def test_theta_solvers_give_overlapping_certified_brackets(g):
         assert _independence_number(g.adjacency) <= result.upper + 1e-9
         assert result.value <= _greedy_clique_cover(g.adjacency) + 1e-9
     assert ipm.value <= dr.upper + 1e-9 and dr.value <= ipm.upper + 1e-9
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << (2 * n)) - 1), min_size=1, max_size=12, unique=True),
+    st.integers(0, 2**32 - 1))))
+def test_psi0_fixed_point_step_never_lowers_the_norm(case):
+    # mu(a')^2 >= <v|H(a')|v>^2 = |g|^2 = mu(a)^2 + gap, checked by an independent eigh.
+    n, bits, seed = case
+    labels = tuple(WeylLabel(b, n) for b in bits)
+    a = np.random.default_rng(seed).normal(size=len(labels))
+    a /= np.linalg.norm(a)
+    value, gap, nxt = fixed_point_round(list(labels), a)
+    assert value[0] == pytest.approx(hamiltonian_norm_sq(HamiltonianSpec(labels, a)), abs=1e-12)
+    assert gap[0] >= -1e-12
+    stepped = hamiltonian_norm_sq(HamiltonianSpec(labels, nxt[0]))
+    assert stepped >= value[0] - 1e-12
+    assert stepped >= value[0] + gap[0] - 1e-12

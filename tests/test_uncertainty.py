@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_subspace
+from conftest import fixed_point_round, random_subspace
+from stabkit import uncertainty
 from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import WeylLabel, parse_labels, symplectic_form
 from stabkit.state import PureState, generate_state
@@ -83,6 +84,32 @@ def test_psi0_anticommuting_sets_give_one():
         assert len(labels) >= 3
         res = psi0_lower_bound(labels, 4, rng)
         assert res["value"] == pytest.approx(1.0, abs=1e-8)
+
+
+def jordan_wigner_family(n: int) -> list[WeylLabel]:
+    """The 2n + 1 Majorana strings Z..Z X_k, Z..Z Y_k and Z^(x)n."""
+    bits = []
+    for k in range(n):
+        zs = ((1 << k) - 1) << n
+        bits += [zs | 1 << k, zs | 1 << k | 1 << (n + k)]
+    return [WeylLabel(b, n) for b in bits + [((1 << n) - 1) << n]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_psi0_full_label_set_gives_two_to_the_n(n):
+    # a = <W>_psi / 2^(n/2) for a pure state psi gives H = 2^(n/2) |psi><psi|, so mu^2 = 2^n.
+    labels = [WeylLabel(b, n) for b in range(1 << (2 * n))]
+    res = psi0_lower_bound(labels, 8, np.random.default_rng(10 + n))
+    assert res["value"] == pytest.approx(2.0**n, abs=1e-8)
+
+
+def test_psi0_jordan_wigner_set_gives_one_at_n4():
+    labels = jordan_wigner_family(4)
+    assert len(labels) == 9
+    assert all(symplectic_form(x, y) == 1 for i, x in enumerate(labels) for y in labels[:i])
+    res = psi0_lower_bound(labels, 8, np.random.default_rng(14))
+    assert res["value"] == pytest.approx(1.0, abs=1e-8)
+    assert res["steps"] == 1  # H(a)^2 = I for every unit a: the first round is stationary
 
 
 def test_psi0_permutation_invariance():
@@ -170,3 +197,51 @@ def test_certificate_on_the_degenerate_t35_label_set():
     assert cert.theta.converged and cert.theta.solver == "ipm"
     assert cert.psi0_lb <= 5.0 + 1e-9 <= cert.theta_ub + 1e-9
     assert cert.theta.value <= 5.0 <= cert.theta_ub
+
+
+# A criterion-5-like set (n = 4, 20 labels) with a flat maximum psi0 = 6, where the
+# plain fixed-point step stalls at the round cap.
+FLAT_MAX_N4 = """
+11010100 01100010 11101001 11101011 00111111 01010000 00110101 01001000 00110000 10100110
+11101101 00110110 01010100 01001101 10110010 10110100 00000100 10110011 00000000 01010110
+"""
+
+
+@pytest.mark.parametrize(
+    "text, seed, value, rounds",
+    # Lockstep rounds this ascent took; the plain fixed point took 37 and 500 (its
+    # cap), the old step-halving search 113 and 501.
+    [(FAULT_T35, 505, 5.0, 28), (FLAT_MAX_N4, 29, 6.0, 57)],
+    ids=["t35", "flat-max-n4"],
+)
+def test_psi0_ascent_rounds_stay_near_the_recorded_count(text, seed, value, rounds):
+    # Guards the ascent's speed without timing it.
+    res = psi0_lower_bound(parse_labels(text.replace(" ", "\n")), 8, np.random.default_rng(seed))
+    assert res["value"] == pytest.approx(value, abs=1e-8)
+    assert 1 <= res["steps"] <= 2 * rounds
+
+
+def test_psi0_argmax_is_a_fixed_point_of_the_ascent():
+    # Every start converges here, so the best one stops where a round maps it to itself.
+    labels = parse_labels(FAULT_T35.replace(" ", "\n"))
+    res = psi0_lower_bound(labels, 8, np.random.default_rng(505))
+    value, gap, nxt = fixed_point_round(labels, res["argmax"])
+    assert value[0] == pytest.approx(res["value"], abs=1e-12)
+    assert gap[0] <= 1e-12 * max(value[0], 1.0)
+    assert np.allclose(nxt[0], res["argmax"], atol=1e-5)
+
+
+def test_ascent_reports_each_start_best_point_not_its_last(monkeypatch):
+    # A scripted round: e0 -> e1 (best), then a mix that lowers mu^2 (dropped), then
+    # the fallback plain step e2, which ties the best and stops.
+    script = iter([(1.0, 1.0), (3.0, 1.0), (2.0, 1.0), (3.0, 0.0)])  # (mu^2, gap) per round
+
+    def scripted_round(flat, flat_conj, dim, a):
+        value, gap = next(script)
+        return np.full(len(a), value), np.full(len(a), gap), np.roll(a, 1, axis=1)
+
+    monkeypatch.setattr(uncertainty, "_fixed_point_round", scripted_round)
+    mats = np.stack([np.eye(2, dtype=complex)] * 3)
+    values, args, steps = uncertainty._ascend(mats, np.eye(3)[:1])
+    assert steps == 4
+    assert values.tolist() == [3.0] and args.tolist() == [[0.0, 1.0, 0.0]]
