@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,13 +55,14 @@ def _json_encode(obj, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        # The escaper json.dumps itself calls at its default settings, minus its overhead.
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, val) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(key)))
+            out.append(encode_basestring_ascii(str(key)))
             out.append(":")
             _json_encode(val, out)
         out.append("}")

@@ -80,15 +80,10 @@ class WeylLabel:
         text = text.strip()
         if len(text) % 2 or not text or set(text) - {"0", "1"}:
             raise ValidationError(f"not a 2n-character 0/1 string: {text!r}")
-        n = len(text) // 2
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(bits, n)
+        return cls(int(text[::-1], 2), len(text) // 2)
 
     def to_string(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(2 * self.n))
+        return format(self.bits, f"0{2 * self.n}b")[::-1]
 
     def __xor__(self, other: "WeylLabel") -> "WeylLabel":
         if self.n != other.n:

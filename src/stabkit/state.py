@@ -9,7 +9,7 @@ construction, in O(4^n n), and the dyadic self-convolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal
 
 import numpy as np
@@ -43,6 +43,7 @@ TABLE_QUBIT_CAP = 8
 _NORM_TOL = 1e-12
 _HERMITICITY_TOL = 1e-10
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^k, exact
+_PHASE_ARRAY = np.array(_PHASES)
 
 
 def _check_qubit_count(n: int) -> None:
@@ -142,28 +143,31 @@ def fwht(values: np.ndarray) -> np.ndarray:
 
     Report bytes depend on the exact rounding, so the arithmetic is fixed:
     levels run in the order h = 1, 2, 4, ..., and each level maps every pair
-    (a, b) at distance h to (a + b, a - b).  The copy and one scratch buffer
-    of the same shape take turns as the source and the destination of a
-    level, so no level allocates.  For a short stride the pairs are taken
-    one offset j at a time, which gives each ufunc call one long strided
-    loop instead of many loops of length h.
+    (a, b) of entries whose indices differ in bit log2(h) alone to
+    (a + b, a - b).
+
+    The loop has constant geometry (Pease): every level reads the adjacent
+    pairs src[..., 0::2], src[..., 1::2] and writes a + b to the first half
+    of dst and a - b to the second half.  A level's output position p holds
+    index p rotated left by one bit, so the next level's adjacent pairs are
+    the index pairs one bit higher, and the last level leaves every entry at
+    its own index.  Each entry is the same sum or difference of the same two
+    operands as in the in-place butterfly, so the rounding and the zero signs
+    are unchanged; only the layout between levels differs.  The copy and one
+    scratch buffer take turns as source and destination, so no level
+    allocates.
     """
     src = np.array(values, order="C")
     size = src.shape[-1]
     if size & (size - 1):
         raise ValidationError(f"transform length {size} is not a power of two")
     dst = np.empty_like(src)
-    h = 1
-    while h < size:
-        shape = src.shape[:-1] + (size // (2 * h), 2, h)
-        a, b = src.reshape(shape), dst.reshape(shape)
-        # Measured: per-offset calls win for h < 8 once each covers >= 64 h entries.
-        offsets = range(h) if h < 8 and src.size >= 128 * h * h else (slice(None),)
-        for j in offsets:
-            np.add(a[..., 0, j], a[..., 1, j], out=b[..., 0, j])
-            np.subtract(a[..., 0, j], a[..., 1, j], out=b[..., 1, j])
+    half = size // 2
+    for _ in range(size.bit_length() - 1):
+        a, b = src[..., 0::2], src[..., 1::2]
+        np.add(a, b, out=dst[..., :half])
+        np.subtract(a, b, out=dst[..., half:])
         src, dst = dst, src
-        h *= 2
     return src
 
 
@@ -221,6 +225,22 @@ def weyl_expectation(state: PureState, x: WeylLabel) -> float:
     return float(raw.real)
 
 
+@lru_cache(maxsize=TABLE_QUBIT_CAP)
+def _table_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-n constants of the table: gather index x1 ^ z and phase index x1.x2 mod 4.
+
+    Both are [x1, ·] arrays, stored as uint8 (2^n <= 256) and read-only,
+    because every call for this n shares them.
+    """
+    z = np.arange(1 << n, dtype=np.uint8)
+    xored = z[:, None] ^ z[None, :]
+    phase_idx = np.bitwise_count(z[:, None] & z[None, :])
+    phase_idx &= 3
+    for arr in (xored, phase_idx):
+        arr.setflags(write=False)
+    return xored, phase_idx
+
+
 def weyl_expectation_table(state: PureState) -> np.ndarray:
     """All 4^n expectations <psi|W_x|psi> as a real vector indexed by packed bits.
 
@@ -231,15 +251,13 @@ def weyl_expectation_table(state: PureState) -> np.ndarray:
         raise CapExceededError(
             f"full tables capped at n={TABLE_QUBIT_CAP}, got {state.n}"
         )
-    dim = state.dim
-    z = np.arange(dim)
-    xored = z[:, None] ^ z[None, :]  # [x1, z]
-    g = np.conj(state.amplitudes)[xored] * state.amplitudes[None, :]
-    table = fwht(g)  # [x1, x2]
-    x1 = z[:, None]
-    x2 = z[None, :]
-    phases = np.asarray(_PHASES)[np.bitwise_count(x1 & x2) & 3]
-    np.multiply(phases, table, out=table)
+    xored, phase_idx = _table_indices(state.n)
+    # take() gathers with uint8 indices faster than [] does (about 2x at n = 8).
+    table = np.conj(state.amplitudes).take(xored)  # [x1, z]
+    table *= state.amplitudes
+    table = fwht(table)  # [x1, x2]; rebinding frees the input, which fwht copied
+    # The complex multiply by i^k, not a real-part shortcut, fixes the zero signs.
+    np.multiply(_PHASE_ARRAY.take(phase_idx), table, out=table)
     worst = float(np.max(np.abs(table.imag)))
     if worst > _HERMITICITY_TOL:
         raise CertificateError(

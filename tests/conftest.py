@@ -17,6 +17,7 @@ import numpy as np  # noqa: E402
 
 import stabkit.gf2 as gf2  # noqa: E402
 from stabkit.gf2 import GF2Subspace, WeylLabel  # noqa: E402
+from stabkit.state import PureState  # noqa: E402
 from stabkit.uncertainty import _fixed_point_round, _stacked_matrices  # noqa: E402
 
 
@@ -37,6 +38,32 @@ def reference_fwht(values: np.ndarray) -> np.ndarray:
         a = np.stack((top, bot), axis=-2).reshape(a.shape[:-3] + (size,))
         h *= 2
     return a
+
+
+def reference_expectation_table(state: PureState) -> np.ndarray:
+    """All 4^n expectations <psi|W_x|psi>, with every index table built per call.
+
+    The gather index x1 ^ z (int64), the product, the transform and the
+    complex multiply by i^(x1.x2) run in the order ``state.weyl_expectation_table``
+    uses, which must match this bit for bit, zero signs included.
+    """
+    z = np.arange(state.dim)
+    xored = z[:, None] ^ z[None, :]  # [x1, z]
+    g = np.conj(state.amplitudes)[xored] * state.amplitudes[None, :]
+    table = reference_fwht(g)  # [x1, x2]
+    phases = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])[
+        np.bitwise_count(z[:, None] & z[None, :]) & 3
+    ]
+    np.multiply(phases, table, out=table)
+    return np.ascontiguousarray(table.real.T.reshape(-1))  # index = x1 | x2<<n
+
+
+def graph_state(n: int, rng: np.random.Generator) -> PureState:
+    """The graph state of a random graph: amplitude (-1)^(sum over edges x_i x_j) / 2^(n/2)."""
+    adjacency = np.triu(rng.integers(2, size=(n, n)), 1)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    signs = 1 - 2 * (np.einsum("zi,ij,zj->z", bits, adjacency, bits) & 1)
+    return PureState(signs / np.sqrt(1 << n), n)
 
 
 def naive_dyadic_convolution(values: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import graph_state
 from stabkit.errors import ValidationError
 from stabkit.sampling import (
+    _LIFT_BLOCK,
     BellSampler,
     estimate_gamma,
     plan_test,
@@ -134,3 +136,56 @@ def test_gamma_bar_stays_in_range():
         psi = generate_state("haar", 2, rng=rng)
         est = estimate_gamma(psi, 50, rng)
         assert -1.0 <= est <= 1.0
+
+
+class _GivenUniforms:
+    """Stands in for a Generator whose next random(count) returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, count):
+        assert count == self.u.size
+        return self.u
+
+
+def _assert_labels_are_searchsorted(sampler, u):
+    got = sampler.sample_labels(u.size, _GivenUniforms(u))
+    assert np.array_equal(got, np.searchsorted(sampler._cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("kind", ["haar", "stabilizer", "graph"])
+def test_sample_labels_equal_searchsorted(kind):
+    # Stabilizer and graph states put mass on 2^n of the 4^n labels, so their
+    # CDFs have runs of equal entries; u is also put on every entry below 1
+    # and just under it, at 0, and at the largest double below 1.
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        psi = graph_state(n, rng) if kind == "graph" else generate_state(kind, n, rng=rng)
+        sampler = BellSampler(psi)
+        cdf = sampler._cdf
+        below = cdf[cdf < 1.0]
+        u = np.concatenate(
+            [below, np.nextafter(below, 0.0), [0.0, np.nextafter(1.0, 0.0)], rng.random(1000)]
+        )
+        _assert_labels_are_searchsorted(sampler, u)
+    assert u.size > 2 * _LIFT_BLOCK  # the n = 8 draws span several lifting blocks
+
+
+def test_sample_labels_equal_searchsorted_when_the_sum_passes_one_early():
+    # Roundoff can take the running sum above 1 before the last entry, which
+    # the sampler then sets to 1: the CDF is not monotone at its end.
+    rng = np.random.default_rng(11)
+    sampler = BellSampler(H_STATE)
+    checked = 0
+    while checked < 20:
+        p = rng.random(512) * (rng.random(512) < 0.3)
+        cdf = np.cumsum(p / p.sum())
+        if not (cdf[:-1] > 1.0).any():
+            continue
+        cdf[-1] = 1.0
+        sampler._cdf = cdf
+        below = cdf[cdf < 1.0]
+        u = np.concatenate([below, np.nextafter(below, 0.0), [np.nextafter(1.0, 0.0)]])
+        _assert_labels_are_searchsorted(sampler, np.concatenate([u, rng.random(1000)]))
+        checked += 1

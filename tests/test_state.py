@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import naive_dyadic_convolution, reference_fwht
+from conftest import (
+    graph_state,
+    naive_dyadic_convolution,
+    reference_expectation_table,
+    reference_fwht,
+)
 from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import WeylLabel
 from stabkit.oracle import stabilizer_fidelity_exact
@@ -273,6 +280,38 @@ def test_fwht_is_bit_identical_to_the_reference_butterfly():
         before = values.copy()
         _assert_bit_identical(fwht(values), reference_fwht(values))
         _assert_bit_identical(values, before)
+
+
+def _table_states(n):
+    rng = np.random.default_rng(100 + n)
+    yield generate_state("haar", n, rng=rng)
+    yield generate_state("stabilizer", n, rng=rng)
+    yield generate_state("t_tensor", n)
+    yield graph_state(n, rng)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_expectation_table_is_bit_identical_to_the_reference(n):
+    # Report bytes depend on the table's rounding and zero signs; the
+    # stabilizer and graph states give exact zeros and +-1 entries.
+    for psi in _table_states(n):
+        _assert_bit_identical(weyl_expectation_table(psi), reference_expectation_table(psi))
+
+
+def test_expectation_table_peak_memory_at_n8():
+    # One n = 8 call peaked at 4,198,304 bytes when it built int64 gather and
+    # complex phase tables per call; with the per-n uint8 tables cached it
+    # peaks at 3,278,528 (the transform's input, copy and scratch, 1 MiB
+    # each). The bound is that peak plus 10%.
+    psi = generate_state("haar", 8, seed=8)
+    weyl_expectation_table(psi)  # fills the per-n cache
+    tracemalloc.start()
+    try:
+        weyl_expectation_table(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * 3_278_528
 
 
 def test_state_json_roundtrip():
