@@ -318,32 +318,23 @@ def _gf_trace(a: int, k: int) -> int:
 def _symplectic_spread(k: int) -> tuple[tuple[int, ...], ...]:
     """2^k + 1 pairwise-disjoint Lagrangian bases of F2^(2k), standard form.
 
-    Built from GF(2^k): the form tr(a*d) + tr(b*c) on pairs (a, b) is the
-    standard one once the second coordinate is written in the trace-dual
-    basis.  Members are the b-axis plus one "slope s" subspace per field
-    element; packing is low k bits / high k bits.
+    Built from GF(2^k) with monomial basis t^i.  Members are the b-axis plus
+    one "slope s" subspace per field element, whose row i is (t^i, column i
+    of M_s) with M_s[j][i] = tr(s t^i t^j): the second coordinate of s t^i
+    in the basis trace-dual to the monomials, which makes the form tr(a*d) +
+    tr(b*c) on pairs (a, b) the standard one.  Packing is low k bits / high k
+    bits.
     """
     if k < 1 or k not in _GF_POLY:
         raise CapExceededError(f"no spread table for k={k}")
-    # Gram matrix of the trace form in the monomial basis, as columns.
-    gram_cols = [
-        sum(_gf_trace(_gf_mul(1 << i, 1 << j, k), k) << i for i in range(k))
-        for j in range(k)
-    ]
-    members = [tuple(ej << k for ej in (1 << j for j in range(k)))]  # b-axis
+    members = [tuple(1 << (k + j) for j in range(k))]  # b-axis
     for s in range(1 << k):
-        basis = []
+        rows = []
         for i in range(k):
-            prod_bits = _gf_mul(s, 1 << i, k)
-            # Coordinates of s*t^i in the trace-dual basis: G @ bits(prod).
-            coord = 0
-            for row in range(k):
-                acc = 0
-                for j in range(k):
-                    acc ^= (gram_cols[j] >> row & 1) & (prod_bits >> j & 1)
-                coord |= acc << row
-            basis.append((1 << i) | (coord << k))
-        members.append(tuple(basis))
+            s_ti = _gf_mul(s, 1 << i, k)
+            column = sum(_gf_trace(_gf_mul(s_ti, 1 << j, k), k) << j for j in range(k))
+            rows.append((1 << i) | (column << k))
+        members.append(tuple(rows))
     return tuple(members)
 
 

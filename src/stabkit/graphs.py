@@ -2,18 +2,18 @@
 
 theta(G) = max <J, X> over unit-trace PSD matrices X vanishing on edges;
 its dual is min t subject to tI + sum_e y_e E_e - J PSD.  ``lovasz_theta``
-picks one of two solvers by the size of the Schur complement, |E| + 1 rows:
+keeps one certified bracket value <= theta <= upper, fed by two solvers:
 
-* up to IPM_MAX_ROWS (256) rows, a primal-dual interior-point method with
-  the HKM direction (Helmberg-Rendl-Vanderbei-Wolkowicz 1996) and Mehrotra's
-  predictor-corrector, about ten iterations of one Schur solve each;
-* above it, Douglas-Rachford splitting with over-relaxation, whose
-  iterations cost one n x n eigendecomposition regardless of |E|.
+* Douglas-Rachford splitting with over-relaxation, one n x n
+  eigendecomposition per iteration whatever |E|, runs first, for a budget
+  of iterations, on graphs above IPM_MAX_ROWS (256) Schur rows, |E| + 1;
+* a primal-dual interior-point method with the HKM direction (Helmberg-
+  Rendl-Vanderbei-Wolkowicz 1996) and Mehrotra's predictor-corrector, about
+  ten iterations of one Schur solve each, closes any bracket still open.
 
-Both return a certified bracket value <= theta <= upper.  The lower bound
-is an exactly feasible matrix repaired from the iterate, the upper bound
-lambda_max(J - sum_e y_e E_e), which bounds theta for any edge weights y;
-``uncertainty_certificate`` compares against the upper one.
+The lower bound is an exactly feasible matrix repaired from an iterate, the
+upper bound lambda_max(J - sum_e y_e E_e), which bounds theta for any edge
+weights y; ``uncertainty_certificate`` compares against the upper one.
 """
 
 from __future__ import annotations
@@ -181,7 +181,9 @@ class ThetaResult:
 
     ``value`` is the objective of ``primal_matrix``, an exactly feasible
     point; ``upper`` is lambda_max(J - M) for an edge-supported dual M.
-    ``converged`` says the bracket is no wider than the requested tol.
+    ``converged`` says the bracket is no wider than the requested tol;
+    ``solver`` names the path that ran last, which closed the bracket if
+    any did, and ``iterations`` counts the iterations of both paths.
     """
 
     value: float
@@ -230,6 +232,10 @@ class _Bracket:
         self.edges = edges
         self.lower, self.upper, self.matrix = -np.inf, np.inf, None
 
+    @property
+    def gap(self) -> float:
+        return self.upper - self.lower
+
     def update(self, x: np.ndarray, dual_edge: np.ndarray) -> float:
         """Fold in the bounds of a primal iterate and an edge-supported dual; the gap."""
         ones = np.ones(x.shape)
@@ -237,12 +243,12 @@ class _Bracket:
         repaired, value = _certified_feasible(x, self.edges)
         if value > self.lower:
             self.lower, self.matrix = value, repaired
-        return self.upper - self.lower
+        return self.gap
 
 
-# --- Interior-point path: |E| + 1 Schur rows, for sparse graphs ----------------
+# --- Interior-point path: |E| + 1 Schur rows per iteration ---------------------
 
-IPM_MAX_ROWS = 256  # Schur rows |E| + 1 up to which the interior-point path runs (512 KiB)
+IPM_MAX_ROWS = 256  # Schur rows |E| + 1 up to which the interior-point path runs alone
 _IPM_MAX_ITERATIONS = 50
 _IPM_STEP_FRACTION = 0.95  # of the distance to the PSD boundary
 _SOLVE_BLOCK = 64  # edge rows per block of the Schur build
@@ -279,13 +285,14 @@ def _max_step(inv_chol: np.ndarray, direction: np.ndarray) -> float:
     return -1.0 / lowest if lowest < 0.0 else np.inf
 
 
-def _theta_ipm(edges: np.ndarray, tol: float) -> tuple[_Bracket, int, bool]:
+def _theta_ipm(edges: np.ndarray, tol: float, bracket: _Bracket) -> int:
     """Primal-dual path following with the HKM direction and Mehrotra's corrector.
 
     Primal: max <J, X> with tr X = 1, X_uv = 0 on edges, X PSD.  Dual: min t
     with Z = tI + sum_e y_e E_e - J PSD.  Both starts, X = I/n and t = 2n,
     y = 0, are strictly feasible; Z is always formed from (t, y), so dual
-    feasibility is exact and only the primal residual is carried.
+    feasibility is exact and only the primal residual is carried.  Returns
+    the iterations taken; it stops once ``bracket``, fed every iterate, is within tol.
     """
     order = edges.shape[0]
     u, v = np.nonzero(np.triu(edges, 1))
@@ -293,16 +300,13 @@ def _theta_ipm(edges: np.ndarray, tol: float) -> tuple[_Bracket, int, bool]:
     eye, ones = np.eye(order), np.ones((order, order))
     x, t, y = eye / order, 2.0 * order, np.zeros(len(u))
     schur = np.empty((rows, rows))
-    bracket = _Bracket(edges)
 
     def constraint_map(mat):  # (tr M, <E_e, M>) of a symmetric matrix
         return np.concatenate(([np.trace(mat)], 2.0 * mat[u, v]))
 
     for iterations in range(_IPM_MAX_ITERATIONS + 1):
         dual_edge = _edge_matrix(order, u, v, y)
-        if bracket.update(x, dual_edge) <= tol:
-            return bracket, iterations, True
-        if iterations == _IPM_MAX_ITERATIONS:
+        if bracket.update(x, dual_edge) <= tol or iterations == _IPM_MAX_ITERATIONS:
             break
         z = t * eye + dual_edge - ones
         try:
@@ -334,12 +338,12 @@ def _theta_ipm(edges: np.ndarray, tol: float) -> tuple[_Bracket, int, bool]:
         x = x + alpha_p * dx
         t += alpha_d * dy[0]
         y = y + alpha_d * dy[1:]
-    return bracket, iterations, False
+    return iterations
 
 
-# --- Douglas-Rachford path: O(n^3) per iteration, for dense graphs -------------
+# --- Douglas-Rachford path: O(n^3) per iteration, tried first on dense graphs --
 
-_DR_MAX_ITERATIONS = 50_000
+_DR_MAX_ITERATIONS = 1_000  # about 0.4 s at order 64; the interior-point path takes over
 _DR_RELAXATION = 1.8
 _DR_CHECK_EVERY = 50
 
@@ -358,19 +362,19 @@ def _project_psd(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
 
 
-def _theta_dr(edges: np.ndarray, tol: float) -> tuple[_Bracket, int, bool]:
+def _theta_dr(edges: np.ndarray, tol: float, bracket: _Bracket) -> int:
     """Over-relaxed Douglas-Rachford splitting, step 1/n.
 
     It alternates the PSD-cone projection against the proximal step of the
     affine set {symmetric, unit trace, zero on edges}, into which the linear
     objective is folded.  Every _DR_CHECK_EVERY iterations the affine prox
-    residual gives an edge-supported dual candidate.
+    residual gives an edge-supported dual candidate for ``bracket``.  Returns
+    the iterations taken: until the bracket is within tol, at most _DR_MAX_ITERATIONS.
     """
     order = edges.shape[0]
     step = 1.0 / order
     drift = np.full((order, order), step)
     z = np.eye(order) / order
-    bracket = _Bracket(edges)
     for iterations in range(1, _DR_MAX_ITERATIONS + 1):
         x = _project_affine(z + drift, edges)
         affine_residual = z + drift - x  # supported on edges + the trace direction
@@ -378,24 +382,28 @@ def _theta_dr(edges: np.ndarray, tol: float) -> tuple[_Bracket, int, bool]:
         if iterations % _DR_CHECK_EVERY == 0:
             dual_edge = np.where(edges, affine_residual, 0.0) / step
             if bracket.update(x, 0.5 * (dual_edge + dual_edge.T)) <= tol:
-                return bracket, iterations, True
-    return bracket, _DR_MAX_ITERATIONS, False
+                return iterations
+    return _DR_MAX_ITERATIONS
 
 
 def lovasz_theta(g: SimpleGraph, tol: float = 1e-6) -> ThetaResult:
     """Certified bracket on theta of a dense graph of order <= 64.
 
-    Graphs with |E| + 1 <= IPM_MAX_ROWS take the interior-point path, whose
-    Schur matrix has that many rows; denser ones take Douglas-Rachford.
-    Each path stops once the best certified pair is within tol; otherwise
-    it returns converged=False with the best pair it found.
+    Graphs with more than IPM_MAX_ROWS Schur rows, |E| + 1, first run
+    Douglas-Rachford for at most _DR_MAX_ITERATIONS.  If the bracket is then
+    still wider than tol, or the graph is smaller, the interior-point path
+    runs and folds its iterates into the same bracket.  A bracket that ends
+    wider than tol is returned with converged=False.
     """
     check_theta_order(g.order)
     if not 1e-8 <= tol <= 1e-3:
         raise ValidationError(f"tol must lie in [1e-8, 1e-3], got {tol}")
     edges = g.adjacency
-    solver = "ipm" if g.edge_count + 1 <= IPM_MAX_ROWS else "dr"
-    bracket, iterations, converged = (_theta_ipm if solver == "ipm" else _theta_dr)(edges, tol)
+    bracket, iterations, solver = _Bracket(edges), 0, "dr"
+    if g.edge_count + 1 > IPM_MAX_ROWS:
+        iterations = _theta_dr(edges, tol, bracket)
+    if bracket.gap > tol:
+        iterations, solver = iterations + _theta_ipm(edges, tol, bracket), "ipm"
     repaired = bracket.matrix
     residuals = {
         "psd_violation": max(-float(np.linalg.eigvalsh(repaired)[0]), 0.0),
@@ -408,7 +416,7 @@ def lovasz_theta(g: SimpleGraph, tol: float = 1e-6) -> ThetaResult:
         primal_matrix=repaired,
         residuals=residuals,
         iterations=iterations,
-        converged=converged,
+        converged=bracket.gap <= tol,
         solver=solver,
     )
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
 from .gf2 import LAGRANGIAN_QUBIT_CAP, GF2Subspace, WeylLabel, enumerate_lagrangians
-from .state import PureState, char_distribution, fwht, weyl_matrix
+from .state import PureState, char_distribution, fwht, weyl_matrices
 
 __all__ = [
     "ORACLE_QUBIT_CAP",
@@ -149,8 +149,7 @@ def twirl_purity(state: PureState, V: GF2Subspace) -> float:
         raise ValidationError(f"qubit-count mismatch: state n={state.n}, V n={V.n}")
     psi = np.outer(state.amplitudes, np.conj(state.amplitudes))
     acc = np.zeros_like(psi)
-    for bits in V.element_bits:
-        w = weyl_matrix(WeylLabel(bits, V.n))
+    for w in weyl_matrices([WeylLabel(bits, V.n) for bits in V.element_bits]):
         acc += w @ psi @ w.conj().T
     acc /= 1 << V.n
     dense = float(np.trace(acc @ acc).real)

@@ -26,6 +26,7 @@ __all__ = [
     "dyadic_self_convolution",
     "apply_weyl",
     "weyl_matrix",
+    "weyl_matrices",
     "weyl_expectation",
     "weyl_expectation_table",
     "char_distribution",
@@ -42,8 +43,7 @@ TABLE_QUBIT_CAP = 8
 
 _NORM_TOL = 1e-12
 _HERMITICITY_TOL = 1e-10
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^k, exact
-_PHASE_ARRAY = np.array(_PHASES)
+_PHASE_ARRAY = np.array((1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j))  # i^k, exact
 
 
 def _check_qubit_count(n: int) -> None:
@@ -189,29 +189,39 @@ def _check_n(state: PureState, x: WeylLabel) -> None:
         raise ValidationError(f"qubit-count mismatch: state n={state.n}, label n={x.n}")
 
 
-def _phase(x1: int, x2: int) -> complex:
-    return _PHASES[(x1 & x2).bit_count() & 3]
+def _weyl_nonzeros(labels: list[WeylLabel]) -> tuple[np.ndarray, np.ndarray]:
+    """Per label, W_x's nonzero in column z: row z ^ x1, value i^(x1.x2) (-1)^(z.x2)."""
+    x1 = np.array([lab.x1 for lab in labels])[:, None]
+    x2 = np.array([lab.x2 for lab in labels])[:, None]
+    z = np.arange(1 << labels[0].n)
+    signs = 1 - 2 * (np.bitwise_count(z & x2) & 1).astype(np.int64)
+    return z ^ x1, _PHASE_ARRAY[np.bitwise_count(x1 & x2) & 3] * signs
 
 
 def apply_weyl(state: PureState, x: WeylLabel) -> PureState:
     """W_x |psi> with the Hermitian phase convention i^(x1.x2)."""
     _check_n(state, x)
-    x1, x2 = x.x1, x.x2
-    idx = np.arange(state.dim) ^ x1
-    signs = 1 - 2 * (np.bitwise_count(idx & x2) & 1).astype(np.int64)
-    return PureState(_phase(x1, x2) * signs * state.amplitudes[idx], state.n)
+    rows, values = _weyl_nonzeros([x])
+    # Row z ^ x1 of the output is values[z] psi[z], and z -> z ^ x1 is an involution.
+    return PureState((values[0] * state.amplitudes)[rows[0]], state.n)
+
+
+def weyl_matrices(labels: list[WeylLabel]) -> np.ndarray:
+    """Dense 2^n x 2^n matrices of W_x for labels on one n, stacked (n <= 8)."""
+    if not labels or any(lab.n != labels[0].n for lab in labels):
+        raise ValidationError("need one or more labels, all on one qubit count")
+    if labels[0].n > TABLE_QUBIT_CAP:
+        raise CapExceededError(f"dense Weyl matrices capped at n={TABLE_QUBIT_CAP}")
+    rows, values = _weyl_nonzeros(labels)
+    count, dim = rows.shape
+    mats = np.zeros((count, dim, dim), dtype=np.complex128)
+    mats[np.arange(count)[:, None], rows, np.arange(dim)] = values
+    return mats
 
 
 def weyl_matrix(x: WeylLabel) -> np.ndarray:
     """Dense 2^n x 2^n matrix of W_x (n <= 8)."""
-    if x.n > TABLE_QUBIT_CAP:
-        raise CapExceededError(f"dense Weyl matrices capped at n={TABLE_QUBIT_CAP}")
-    dim = 1 << x.n
-    cols = np.arange(dim)
-    signs = 1 - 2 * (np.bitwise_count(cols & x.x2) & 1).astype(np.int64)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[cols ^ x.x1, cols] = _phase(x.x1, x.x2) * signs
-    return mat
+    return weyl_matrices([x])[0]
 
 
 def weyl_expectation(state: PureState, x: WeylLabel) -> float:

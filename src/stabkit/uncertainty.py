@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
 from .gf2 import WeylLabel
-from .graphs import ThetaResult, anticommutation_graph, lovasz_theta
-from .state import PureState, weyl_matrix
+from .graphs import ThetaResult, anticommutation_graph, check_theta_order, lovasz_theta
+from .state import PureState, weyl_matrices
 
 __all__ = [
     "HAMILTONIAN_QUBIT_CAP",
@@ -73,17 +73,10 @@ class HamiltonianSpec:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def _stacked_matrices(labels: list[WeylLabel]) -> np.ndarray:
-    return np.stack([weyl_matrix(lab) for lab in labels])
-
-
 def hamiltonian_norm_sq(spec: HamiltonianSpec) -> float:
     """lambda_max(H^2) for H = sum_i a_i W_i, via dense eigendecomposition."""
-    return _norm_sq(_stacked_matrices(list(spec.labels)), spec.coefficients)
-
-
-def _norm_sq(mats: np.ndarray, coeffs: np.ndarray) -> float:
-    mu, _ = _extreme_eigpairs(np.tensordot(coeffs, mats, axes=1)[None])
+    mats = weyl_matrices(list(spec.labels))
+    mu, _ = _extreme_eigpairs(np.tensordot(spec.coefficients, mats, axes=1)[None])
     return float(mu[0] * mu[0])
 
 
@@ -162,18 +155,13 @@ def psi0_lower_bound(
     it keeps is a true norm.  ``steps`` counts its lockstep rounds.
     """
     _check_labels(labels)
-    return _psi0(_stacked_matrices(labels), restarts, rng, seed_starts)
-
-
-def _psi0(mats: np.ndarray, restarts: int, rng: np.random.Generator | None,
-          seed_starts: list[np.ndarray] | None) -> dict:
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     if rng is None:
         rng = np.random.default_rng(0)
     starts = [np.asarray(s, dtype=np.float64) for s in seed_starts or []]
-    starts += [rng.normal(size=len(mats)) for _ in range(restarts)]
-    values, args, steps = _ascend(mats, np.array(starts))
+    starts += [rng.normal(size=len(labels)) for _ in range(restarts)]
+    values, args, steps = _ascend(weyl_matrices(labels), np.array(starts))
     best = int(np.argmax(values))  # the first start reaching the maximum
     return {"value": float(values[best]), "argmax": args[best], "steps": steps}
 
@@ -205,6 +193,7 @@ def uncertainty_certificate(
     or engine bug rather than a property of the input.
     """
     n = _check_labels(labels)
+    check_theta_order(len(labels))  # before any matrix is stacked or ascended
     if state.n != n:
         raise ValidationError(f"qubit-count mismatch: state n={state.n}, labels n={n}")
     if rng is None:
@@ -212,19 +201,18 @@ def uncertainty_certificate(
     witness = state.expectations[[lab.bits for lab in labels]]
     lhs = float(np.dot(witness, witness))
     norm = float(np.linalg.norm(witness))
-    mats = _stacked_matrices(labels)
 
     seed_starts, seed_norm_sq = [], 0.0
     if norm > 1e-12:
         seed = witness / norm
-        seed_norm_sq = _norm_sq(mats, seed)
+        seed_norm_sq = hamiltonian_norm_sq(HamiltonianSpec(tuple(labels), seed))
         if lhs > norm * np.sqrt(seed_norm_sq) + 1e-9:
             raise CertificateError(
                 f"witness bound failed: lhs {lhs!r} vs {norm * np.sqrt(seed_norm_sq)!r}"
             )
         seed_starts.append(seed)
 
-    ascent = _psi0(mats, restarts, rng, seed_starts)
+    ascent = psi0_lower_bound(labels, restarts, rng, seed_starts)
     psi0_lb = max(float(ascent["value"]), seed_norm_sq)
     theta = lovasz_theta(anticommutation_graph(labels), theta_tol)
     if not theta.converged:

@@ -17,8 +17,8 @@ import numpy as np  # noqa: E402
 
 import stabkit.gf2 as gf2  # noqa: E402
 from stabkit.gf2 import GF2Subspace, WeylLabel  # noqa: E402
-from stabkit.state import PureState  # noqa: E402
-from stabkit.uncertainty import _fixed_point_round, _stacked_matrices  # noqa: E402
+from stabkit.state import PureState, weyl_matrices  # noqa: E402
+from stabkit.uncertainty import _fixed_point_round  # noqa: E402
 
 
 def reference_fwht(values: np.ndarray) -> np.ndarray:
@@ -115,7 +115,7 @@ def bfs_lagrangians(n: int) -> tuple[GF2Subspace, ...]:
 
 def fixed_point_round(labels: list[WeylLabel], a: np.ndarray):
     """One psi0 ascent round at the rows of a: (mu^2, gap |g|^2 - mu^2, next point)."""
-    mats = _stacked_matrices(labels)
+    mats = weyl_matrices(labels)
     flat = mats.reshape(len(mats), -1).view(np.float64)
     flat_conj = np.conj(mats).reshape(len(mats), -1).view(np.float64)
     return _fixed_point_round(flat, flat_conj, mats.shape[1], np.atleast_2d(a))

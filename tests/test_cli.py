@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stabkit import cli, uncertainty
@@ -262,6 +263,49 @@ def test_unconverged_theta_fails_the_certificate(monkeypatch, capsys):
     argv = ["uncertainty", "--kind", "haar", "--n", "2", "--random-labels", "6", "--seed", "4"]
     assert cli.main(argv) == 3
     assert "theta solver did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, count, seed", [
+    (6, 40, 1),  # 380 Schur rows; exited 3 once Douglas-Rachford ran 50,000 iterations
+    (5, 33, 2), (5, 64, 3), (6, 36, 7), (6, 64, 5),
+])
+def test_uncertainty_on_dense_label_sets(tmp_path, n, count, seed):
+    # From about 33 labels the anti-commutation graph has over 256 Schur rows.
+    argv = ["uncertainty", "--kind", "haar", "--n", str(n), "--random-labels", str(count),
+            "--seed", str(seed), "--theta-tol", "1e-6"]
+    code, payload = run_to_file(tmp_path, "u.json", argv)
+    assert code == 0
+    assert json.loads(payload)["summary"]["theta_gap"] <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_theta_dense_graph_file(tmp_path, seed):
+    from stabkit.graphs import SimpleGraph, format_graph
+
+    rng = np.random.default_rng(seed)  # orders 51 and 60, 883 and 673 edges
+    order = int(rng.integers(40, 65))
+    adj = np.triu(rng.random((order, order)) < rng.uniform(0.3, 0.8), 1)
+    graph_path = tmp_path / "dense.txt"
+    graph_path.write_text(format_graph(SimpleGraph(adj | adj.T)))
+    code, payload = run_to_file(tmp_path, "t.json", ["theta", "--graph-file", str(graph_path)])
+    assert code == 0
+    res = json.loads(payload)["results"]
+    assert res["converged"] is True and res["gap"] <= 1e-6
+
+
+@pytest.mark.parametrize("source", ["random", "file"])
+def test_uncertainty_label_count_capped_before_the_ascent(tmp_path, monkeypatch, capsys, source):
+    # 1,000 labels at n = 6 once stacked their matrices and ran the ascent before exiting 4.
+    calls = []
+    monkeypatch.setattr(uncertainty, "weyl_matrices", lambda *a: calls.append(a))
+    monkeypatch.setattr(uncertainty, "_ascend", lambda *a: calls.append(a))
+    labels_path = tmp_path / "labels.txt"
+    labels_path.write_text("".join(WeylLabel(b, 6).to_string() + "\n" for b in range(65)))
+    argv = ["uncertainty", "--kind", "haar", "--n", "6", "--seed", "1"] + (
+        ["--random-labels", "65"] if source == "random" else ["--labels-file", str(labels_path)])
+    assert cli.main(argv) == 4
+    assert "cap exceeded" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_theta_csv_format(tmp_path):
@@ -583,17 +627,21 @@ def test_rounds_above_the_cap_exit_4(capsys, argv):
     assert ("242748832" if "0.3" in argv else "200000001") in err
 
 
+# The child's own peak: ru_maxrss would carry the parent's peak across exec.
 _PEAK_RSS = """
-import resource, sys
+import sys
 from stabkit import cli
 code = cli.main(["test", "--kind", "haar", "--n", "1", "--seed", "1", "--eps1", "0.5",
                  "--eps2", "0", "--m-override", sys.argv[1], "--out", sys.argv[2]])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status", encoding="ascii") as status:
+    print(code, next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
 def test_tester_memory_does_not_grow_with_m(tmp_path):
     # Rounds are drawn in bounded passes: 2,000,000 rounds once took 115 MB against 37 MB.
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status for a process's own peak resident set (VmHWM)")
     src = str(Path(cli.__file__).resolve().parents[1])
     peaks = {}
     for m in ("1", "2000000"):

@@ -21,6 +21,7 @@ from stabkit.graphs import (
     pauli_group_graph,
     symplectic_graph,
 )
+from stabkit.state import generate_state
 
 I1 = WeylLabel(0, 1)
 X1 = WeylLabel.from_halves(1, 0, 1)
@@ -99,22 +100,56 @@ def test_theta_golden_values():
     assert lovasz_theta(cycle_graph(5)).value == pytest.approx(np.sqrt(5), abs=1e-5)
 
 
-def test_theta_c5_two_solver_configurations(monkeypatch):
+def test_theta_c5_two_solver_configurations():
     a = lovasz_theta(cycle_graph(5), tol=1e-7)
-    monkeypatch.setattr(graphs, "IPM_MAX_ROWS", 0)  # every graph takes Douglas-Rachford
-    b = lovasz_theta(cycle_graph(5), tol=1e-7)
-    assert (a.solver, b.solver) == ("ipm", "dr")
-    assert a.value == pytest.approx(b.value, abs=1e-6)
+    b = graphs._Bracket(cycle_graph(5).adjacency)
+    graphs._theta_dr(b.edges, 1e-7, b)  # Douglas-Rachford alone
+    assert a.solver == "ipm" and b.gap <= 1e-7
+    assert a.value == pytest.approx(b.lower, abs=1e-6)
     assert a.value == pytest.approx(np.sqrt(5), abs=1e-6)
 
 
 def test_theta_solver_chosen_by_schur_rows():
     # |E| + 1 Schur rows: K23 has 254 and takes the interior-point path, K24 has 277.
     assert lovasz_theta(complete_graph(23)).solver == "ipm"
-    assert lovasz_theta(complete_graph(24)).solver == "dr"
-    dense = lovasz_theta(pauli_group_graph(3))  # 1,009 rows
-    assert dense.solver == "dr" and dense.converged
-    assert dense.value <= 8.0 <= dense.upper
+    for dense, theta in [(complete_graph(24), 1.0), (complete_graph(64), 1.0),
+                         (pauli_group_graph(3), 8.0)]:  # 277, 2,017 and 1,009 rows
+        result = lovasz_theta(dense)
+        assert result.solver == "dr" and result.converged
+        assert result.iterations <= graphs._DR_MAX_ITERATIONS
+        assert result.value <= theta <= result.upper
+
+
+def _handoff_graphs() -> list[SimpleGraph]:
+    """Graphs above the interior-point threshold on which Douglas-Rachford is slow or fast.
+
+    Twelve random graphs of orders 40-64 and densities 0.3-0.8, and the
+    anti-commutation graph of `uncertainty --kind haar --n 6 --random-labels 40
+    --seed 1` (379 edges), on which Douglas-Rachford alone once ran 50,000
+    iterations without closing the bracket to 1e-6.
+    """
+    rng = np.random.default_rng(11)
+    sweep = [rand_graph(rng, int(rng.integers(40, 65)), float(rng.uniform(0.3, 0.8)))
+             for _ in range(12)]
+    rng = np.random.default_rng(1)
+    generate_state("haar", 6, rng=rng)  # the command draws its labels after its state
+    labels = [WeylLabel(int(b), 6) for b in rng.choice(1 << 12, size=40, replace=False)]
+    return sweep + [anticommutation_graph(labels)]
+
+
+def test_theta_hands_an_open_bracket_to_the_interior_point_method():
+    budget = graphs._DR_MAX_ITERATIONS
+    solvers = []
+    for g in _handoff_graphs():
+        assert g.edge_count + 1 > graphs.IPM_MAX_ROWS
+        result = lovasz_theta(g, 1e-6)
+        assert result.converged and result.gap <= 1e-6
+        if result.solver == "dr":
+            assert result.iterations <= budget
+        else:  # the whole budget on Douglas-Rachford, then the interior-point iterations
+            assert 1 <= result.iterations - budget <= graphs._IPM_MAX_ITERATIONS
+        solvers.append(result.solver)
+    assert solvers[-1] == "ipm" and "dr" in solvers
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-6, 1e-5, 1e-3])

@@ -149,15 +149,14 @@ def _greedy_clique_cover(adj: np.ndarray) -> int:
 @given(small_graphs())
 def test_theta_solvers_give_overlapping_certified_brackets(g):
     ipm = lovasz_theta(g, 1e-6)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphs, "IPM_MAX_ROWS", 0)  # every graph takes Douglas-Rachford
-        dr = lovasz_theta(g, 1e-3)
-    assert (ipm.solver, dr.solver) == ("ipm", "dr")
-    for result in (ipm, dr):
-        assert result.value <= result.upper
-        assert _independence_number(g.adjacency) <= result.upper + 1e-9
-        assert result.value <= _greedy_clique_cover(g.adjacency) + 1e-9
-    assert ipm.value <= dr.upper + 1e-9 and dr.value <= ipm.upper + 1e-9
+    dr = graphs._Bracket(g.adjacency)
+    graphs._theta_dr(g.adjacency, 1e-3, dr)  # Douglas-Rachford alone
+    assert ipm.solver == "ipm"
+    for lower, upper in ((ipm.value, ipm.upper), (dr.lower, dr.upper)):
+        assert lower <= upper
+        assert _independence_number(g.adjacency) <= upper + 1e-9
+        assert lower <= _greedy_clique_cover(g.adjacency) + 1e-9
+    assert ipm.value <= dr.upper + 1e-9 and dr.lower <= ipm.upper + 1e-9
 
 
 @PROPERTY

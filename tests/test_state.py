@@ -30,6 +30,7 @@ from stabkit.state import (
     weyl_distribution,
     weyl_expectation,
     weyl_expectation_table,
+    weyl_matrices,
     weyl_matrix,
 )
 
@@ -79,6 +80,14 @@ def test_weyl_matrix_matches_apply():
         np.testing.assert_allclose(
             via_matrix, apply_weyl(psi, lab).amplitudes, atol=1e-14
         )
+    # A stack holds each label's matrix in the order given, and labels share one n.
+    psi = generate_state("haar", 2, rng=rng)
+    labels = [WeylLabel(int(b), 2) for b in rng.permutation(16)]
+    for lab, mat in zip(labels, weyl_matrices(labels)):
+        np.testing.assert_allclose(mat @ psi.amplitudes, apply_weyl(psi, lab).amplitudes,
+                                   atol=1e-14)
+    with pytest.raises(ValidationError):
+        weyl_matrices([X1, WeylLabel(1, 2)])
 
 
 def test_expectation_table_matches_pointwise():
