@@ -184,11 +184,12 @@ class BsgResult:
     z_used: WeylLabel
     succeeded: bool
     stats: dict
+    eps: float  # the closure level the search ran at
 
 
 def bsg_extract(
     S: GF2Set,
-    eps: float,
+    eps: float | None,
     rng: np.random.Generator,
     trials: int = 500,
 ) -> BsgResult:
@@ -199,13 +200,16 @@ def bsg_extract(
     The first candidate with
     |S'| >= (eps/(2 sqrt 2))|S| and doubling at most 8 eps^-6 is returned;
     otherwise the best candidate comes back with the failure flag set.  A
-    trial whose B is empty counts as a failed candidate.
+    trial whose B is empty counts as a failed candidate.  eps=None runs at
+    the closure probability of S itself, read off the same counts r.
     """
+    counts = representation_counts(S)
+    if eps is None:
+        eps = counts["closure_prob"]
     if not 0.0 < eps <= 1.0:
         raise ValidationError(f"eps must be in (0,1], got {eps}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    counts = representation_counts(S)
     if counts["closure_prob"] < eps - 1e-12:
         raise ValidationError(
             f"closure probability {counts['closure_prob']!r} is below eps {eps!r}"
@@ -235,14 +239,14 @@ def bsg_extract(
         }
         if s_prime_idx.size == 0:
             candidate = BsgResult(
-                GF2Set(np.zeros_like(S.members), S.n), WeylLabel(z, S.n), False, stats
+                GF2Set(np.zeros_like(S.members), S.n), WeylLabel(z, S.n), False, stats, eps
             )
         else:
             s_prime = GF2Set.from_indices(s_prime_idx, S.n)
             doubling = sumset_doubling(s_prime)["doubling"]
             stats["doubling"] = doubling
             ok = s_prime_idx.size >= size_goal and doubling <= doubling_goal
-            candidate = BsgResult(s_prime, WeylLabel(z, S.n), ok, stats)
+            candidate = BsgResult(s_prime, WeylLabel(z, S.n), ok, stats, eps)
         if candidate.succeeded:
             return candidate
         if best is None or candidate.stats["s_prime_size"] > best.stats["s_prime_size"]:

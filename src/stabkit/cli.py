@@ -155,15 +155,31 @@ def _require_seed(cfg: dict) -> np.random.Generator:
     return np.random.default_rng(cfg["seed"])
 
 
+def _read_input(cfg: dict, key: str, parse, **rivals):
+    """``parse`` of the ASCII text of the file named by the flag of ``key``, or None.
+
+    The file is its input's one source: a rival flag, one that would generate
+    the input, may not be given too.  Each rival maps to its value when unset.
+    """
+    if cfg[key] is None:
+        return None
+    given = ["--" + rival.replace("_", "-") for rival, unset in rivals.items() if cfg[rival] != unset]
+    if given:
+        raise ValidationError(f"--{key.replace('_', '-')} and {', '.join(given)} both give one input")
+    with open(cfg[key], encoding="ascii") as handle:
+        return parse(handle.read())
+
+
 def _load_state(cfg: dict, rng: np.random.Generator | None = None) -> state.PureState:
     """The input state: read from --state-file, or generated from --kind and --n.
 
     Without a stream from the command, --seed seeds the generation.  A seed
     is mandatory unless the state comes from --state-file or is t_tensor.
     """
-    if cfg["state_file"]:
-        with open(cfg["state_file"], encoding="ascii") as handle:
-            return state.state_from_json_dict(json.load(handle))
+    psi = _read_input(cfg, "state_file", lambda text: state.state_from_json_dict(json.loads(text)),
+                      kind=None, n=None, noise=None)
+    if psi is not None:
+        return psi
     if cfg["kind"] is None:
         raise ValidationError("--kind or --state-file is required")
     if cfg["n"] is None:
@@ -180,6 +196,8 @@ def _load_state(cfg: dict, rng: np.random.Generator | None = None) -> state.Pure
 
 def _cmd_gamma(cfg: dict) -> tuple[dict, dict]:
     if cfg["exact"]:
+        if cfg["m"] is not None:
+            raise ValidationError("--exact and --m are two estimators for one gamma; give one")
         return {"estimator": "exact", "gamma": state.gamma_exact(_load_state(cfg))}, {}
     rng = _require_seed(cfg)
     psi = _load_state(cfg, rng)
@@ -254,25 +272,18 @@ def _cmd_sandwich_sweep(cfg: dict) -> tuple[list, dict]:
 
 
 def _build_graph(cfg: dict) -> graphs.SimpleGraph:
-    sources = [key for key in ("pauli_graph", "symplectic_graph", "complete", "empty", "cycle", "graph_file") if cfg[key] is not None]
+    build = {
+        "pauli_graph": graphs.pauli_group_graph,
+        "symplectic_graph": graphs.symplectic_graph,
+        "complete": graphs.complete_graph,
+        "empty": graphs.empty_graph,
+        "cycle": graphs.cycle_graph,
+        "graph_file": lambda _: _read_input(cfg, "graph_file", graphs.parse_graph),
+    }
+    sources = [key for key in build if cfg[key] is not None]
     if len(sources) != 1:
         raise ValidationError(f"need exactly one graph source, got {sources}")
-    key = sources[0]
-    if key == "graph_file":
-        with open(cfg[key], encoding="ascii") as handle:
-            return graphs.parse_graph(handle.read())
-    value = cfg[key]
-    if key in ("complete", "empty", "cycle"):
-        graphs.check_theta_order(value)
-    if key == "pauli_graph":
-        return graphs.pauli_group_graph(value)
-    if key == "symplectic_graph":
-        return graphs.symplectic_graph(value)
-    if key == "complete":
-        return graphs.complete_graph(value)
-    if key == "empty":
-        return graphs.empty_graph(value)
-    return graphs.cycle_graph(value)
+    return build[sources[0]](cfg[sources[0]])
 
 
 def _cmd_theta(cfg: dict) -> tuple[dict, dict]:
@@ -296,10 +307,8 @@ def _cmd_theta(cfg: dict) -> tuple[dict, dict]:
 def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
     rng = _require_seed(cfg)
     psi = _load_state(cfg, rng)
-    if cfg["labels_file"]:
-        with open(cfg["labels_file"], encoding="ascii") as handle:
-            labels = gf2.parse_labels(handle.read())
-    else:
+    labels = _read_input(cfg, "labels_file", gf2.parse_labels, random_labels=None)
+    if labels is None:
         count = _get(cfg, "random_labels", 8)
         if not 0 <= count <= 1 << (2 * psi.n):
             raise ValidationError(f"cannot draw {count} distinct labels at n={psi.n}")
@@ -345,10 +354,8 @@ def _cmd_extract(cfg: dict) -> tuple[dict, dict]:
 
 def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
     rng = _require_seed(cfg)
-    if cfg["set_file"]:
-        with open(cfg["set_file"], encoding="ascii") as handle:
-            S = additive.parse_set(handle.read())
-    else:
+    S = _read_input(cfg, "set_file", additive.parse_set, n=None, subspace_dim=None, junk=0)
+    if S is None:
         if cfg["n"] is None:
             raise ValidationError("--n is required without --set-file")
         n = cfg["n"]
@@ -361,12 +368,9 @@ def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
         while len(members) < V.size + cfg["junk"]:
             members.add(int(rng.integers(1 << (2 * n))))
         S = additive.GF2Set.from_indices(members, n)
-    eps = cfg["eps"] if cfg["eps"] is not None else (
-        additive.representation_counts(S)["closure_prob"]
-    )
-    result = additive.bsg_extract(S, eps, rng, trials=cfg["trials"])
+    result = additive.bsg_extract(S, cfg["eps"], rng, trials=cfg["trials"])
     payload = {
-        "eps": eps,
+        "eps": result.eps,
         "set_size": S.size,
         "succeeded": result.succeeded,
         "z_used": result.z_used.to_string(),
@@ -386,10 +390,8 @@ def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
 
 
 def _cmd_cover(cfg: dict) -> tuple[dict, dict]:
-    if cfg["subspace_file"]:
-        with open(cfg["subspace_file"], encoding="ascii") as handle:
-            V = gf2.parse_subspace(handle.read())
-    else:
+    V = _read_input(cfg, "subspace_file", gf2.parse_subspace, n=None, dim=None)
+    if V is None:
         rng = _require_seed(cfg)
         if cfg["n"] is None:
             raise ValidationError("--n is required without --subspace-file")

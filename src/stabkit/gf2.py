@@ -25,6 +25,7 @@ __all__ = [
     "GF2Subspace",
     "SymplecticDecomposition",
     "symplectic_form",
+    "label_batch_qubits",
     "span_and_classify",
     "symplectic_gram_schmidt",
     "extend_to_lagrangian",
@@ -96,6 +97,14 @@ def symplectic_form(x: WeylLabel, y: WeylLabel) -> int:
     if x.n != y.n:
         raise ValidationError(f"qubit-count mismatch: {x.n} vs {y.n}")
     return _form_bits(x.bits, y.bits, x.n)
+
+
+def label_batch_qubits(labels: list[WeylLabel]) -> int:
+    """The one qubit count of a batch of labels, which must be non-empty."""
+    counts = {lab.n for lab in labels}
+    if len(counts) != 1:
+        raise ValidationError(f"need labels on one qubit count, got counts {sorted(counts)}")
+    return counts.pop()
 
 
 def _form_bits(a: int, b: int, n: int) -> int:
@@ -181,11 +190,7 @@ def span_and_classify(generators: list[WeylLabel]) -> GF2Subspace:
     The isotropic/lagrangian flags and the (k, m) decomposition sizes are
     available as cached properties on the result.
     """
-    if not generators:
-        raise ValidationError("need at least one generator")
-    n = generators[0].n
-    if any(g.n != n for g in generators):
-        raise ValidationError("generators mix qubit counts")
+    n = label_batch_qubits(generators)
     return GF2Subspace(_reduce_rows(g.bits for g in generators), n)
 
 
@@ -467,10 +472,7 @@ def _lagrangian_list(n: int) -> tuple[GF2Subspace, ...]:
 def parse_labels(text: str) -> list[WeylLabel]:
     """The labels of a one-label-per-line text; blank lines are skipped."""
     labels = [WeylLabel.from_string(ln) for ln in text.splitlines() if ln.strip()]
-    if not labels:
-        raise ValidationError("no labels in the text")
-    if any(lab.n != labels[0].n for lab in labels):
-        raise ValidationError("labels mix lengths")
+    label_batch_qubits(labels)
     return labels
 
 

@@ -123,16 +123,17 @@ def stabilizer_fidelity_exact(state: PureState) -> FidelityReport:
     subspaces, elements, signs = _lagrangian_table(state.n)
     expect = state.expectations
     per_lagrangian = np.empty(len(subspaces))
+    characters = np.empty(len(subspaces), dtype=np.intp)  # each row's first argmax
     for lo in range(0, len(subspaces), _ORACLE_ROWS):
         rows = slice(lo, lo + _ORACLE_ROWS)
         fidelities = fwht(signs[rows] * expect[elements[rows]]) / (1 << state.n)
-        per_lagrangian[rows] = fidelities.max(axis=1)
+        characters[rows] = fidelities.argmax(axis=1)
+        per_lagrangian[rows] = fidelities[np.arange(len(fidelities)), characters[rows]]
     best = int(np.argmax(per_lagrangian))  # first max = lexicographically smallest
-    fidelities = fwht(signs[best] * expect[elements[best]]) / (1 << state.n)
     return FidelityReport(
         f_s=float(per_lagrangian[best]),
         argmax_lagrangian=subspaces[best],
-        argmax_character=int(np.argmax(fidelities)),
+        argmax_character=int(characters[best]),
     )
 
 

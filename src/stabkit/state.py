@@ -15,7 +15,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
-from .gf2 import WeylLabel
+from .gf2 import WeylLabel, label_batch_qubits
 
 __all__ = [
     "STATE_QUBIT_CAP",
@@ -208,9 +208,7 @@ def apply_weyl(state: PureState, x: WeylLabel) -> PureState:
 
 def weyl_matrices(labels: list[WeylLabel]) -> np.ndarray:
     """Dense 2^n x 2^n matrices of W_x for labels on one n, stacked (n <= 8)."""
-    if not labels or any(lab.n != labels[0].n for lab in labels):
-        raise ValidationError("need one or more labels, all on one qubit count")
-    if labels[0].n > TABLE_QUBIT_CAP:
+    if label_batch_qubits(labels) > TABLE_QUBIT_CAP:
         raise CapExceededError(f"dense Weyl matrices capped at n={TABLE_QUBIT_CAP}")
     rows, values = _weyl_nonzeros(labels)
     count, dim = rows.shape

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
-from .gf2 import WeylLabel
+from .gf2 import WeylLabel, label_batch_qubits
 from .graphs import ThetaResult, anticommutation_graph, check_theta_order, lovasz_theta
 from .state import PureState, weyl_matrices
 
@@ -39,11 +39,7 @@ _ASCENT_MAX_STEPS = 500
 
 
 def _check_labels(labels: list[WeylLabel]) -> int:
-    if not labels:
-        raise ValidationError("need at least one label")
-    n = labels[0].n
-    if any(lab.n != n for lab in labels):
-        raise ValidationError("labels mix qubit counts")
+    n = label_batch_qubits(labels)
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate labels")
     if n > HAMILTONIAN_QUBIT_CAP:

@@ -146,6 +146,24 @@ def test_bsg_subspace_with_junk():
     assert len(brute_force_sumset(s_prime)) <= 8 * eps**-6 * len(s_prime)
 
 
+def test_bsg_default_eps_is_the_closure_probability():
+    rng = np.random.default_rng(14)
+    for n, dim, junk in [(2, 2, 1), (3, 4, 3), (4, 5, 6)]:
+        V = random_subspace(rng, n, dim)
+        members = set(V.element_bits)
+        while len(members) < V.size + junk:
+            members.add(int(rng.integers(1 << (2 * n))))
+        S = GF2Set.from_indices(members, n)
+        closure = representation_counts(S)["closure_prob"]
+        seed = int(rng.integers(1 << 30))
+        default = bsg_extract(S, None, np.random.default_rng(seed), trials=20)
+        given = bsg_extract(S, closure, np.random.default_rng(seed), trials=20)
+        assert default.eps == given.eps == closure
+        assert default.z_used == given.z_used and default.succeeded == given.succeeded
+        assert default.stats == given.stats
+        np.testing.assert_array_equal(default.s_prime.members, given.s_prime.members)
+
+
 def test_bsg_validation():
     S = GF2Set.from_indices([1, 2], 1)  # closure probability 0
     with pytest.raises(ValidationError):

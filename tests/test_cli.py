@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabkit import cli, uncertainty
+from stabkit import additive, cli, uncertainty
 from stabkit.gf2 import WeylLabel, span_and_classify, format_subspace
 from stabkit.state import generate_state, state_to_json_dict
 
@@ -607,6 +607,77 @@ def test_bsg_all_trials_with_empty_b(tmp_path, seed):
     assert doc["succeeded"] is False
     assert doc["z_used"] == "0010"
     assert doc["stats"]["b_size"] == 0 and doc["s_prime_size"] == 0
+
+
+def test_bsg_convolves_its_set_once(tmp_path, monkeypatch):
+    # Without --eps the closure probability comes from the counts the search builds anyway.
+    calls, sets = [], []
+    counts, extract = additive.representation_counts, additive.bsg_extract
+    monkeypatch.setattr(additive, "representation_counts", lambda S: calls.append(S) or counts(S))
+    monkeypatch.setattr(additive, "bsg_extract",
+                        lambda S, *args, **kwargs: sets.append(S) or extract(S, *args, **kwargs))
+    argv = ["bsg", "--n", "4", "--subspace-dim", "5", "--junk", "4", "--seed", "9"]
+    code, payload = run_to_file(tmp_path, "b.json", argv)
+    assert code == 0 and payload == (GOLDEN / "bsg_n4_d5_j4_s9.json").read_bytes()
+    assert len(sets) == 1 and sum(S is sets[0] for S in calls) == 1
+
+
+def _input_files(tmp_path) -> dict:
+    """One file per input flag: a Haar state at n = 2, and labels, a set and a subspace."""
+    paths = {key: tmp_path / name for key, name in
+             [("state", "st.json"), ("labels", "l.txt"), ("set", "s.txt"), ("subspace", "v.txt")]}
+    paths["state"].write_text(json.dumps(state_to_json_dict(generate_state("haar", 2, seed=5))))
+    paths["labels"].write_text("1000\n0010\n1010\n")
+    paths["set"].write_text("1000\n0100\n1100\n0011\n")
+    paths["subspace"].write_text("100100\n010010\n")
+    return paths
+
+
+_ALONE = {
+    "state-file": ["fidelity", "--state-file", "{state}"],
+    "state-file-exact": ["gamma", "--exact", "--state-file", "{state}"],
+    "labels-file": ["uncertainty", "--state-file", "{state}", "--labels-file", "{labels}",
+                    "--seed", "1"],
+    "set-file": ["bsg", "--set-file", "{set}", "--seed", "1"],
+    "set-file-junk-0": ["bsg", "--set-file", "{set}", "--junk", "0", "--seed", "1"],
+    "subspace-file": ["cover", "--subspace-file", "{subspace}"],
+    "exact": ["gamma", "--exact", "--kind", "haar", "--n", "2", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", _ALONE.values(), ids=_ALONE.keys())
+def test_file_flag_alone_is_the_input(tmp_path, argv):
+    paths = _input_files(tmp_path)
+    code, _ = run_to_file(tmp_path, "r.json", [arg.format(**paths) for arg in argv])
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, rivals",
+    [
+        (["fidelity", "--state-file", "{state}", "--kind", "t_tensor", "--n", "3"],
+         "--state-file and --kind, --n"),
+        (["gamma", "--exact", "--state-file", "{state}", "--noise", "0.1"], "--state-file and --noise"),
+        (["uncertainty", "--state-file", "{state}", "--labels-file", "{labels}",
+          "--random-labels", "2", "--seed", "1"], "--labels-file and --random-labels"),
+        (["bsg", "--set-file", "{set}", "--n", "2", "--seed", "1"], "--set-file and --n"),
+        (["bsg", "--set-file", "{set}", "--subspace-dim", "2", "--seed", "1"],
+         "--set-file and --subspace-dim"),
+        (["bsg", "--set-file", "{set}", "--junk", "1", "--seed", "1"], "--set-file and --junk"),
+        (["cover", "--subspace-file", "{subspace}", "--n", "3"], "--subspace-file and --n"),
+        (["cover", "--subspace-file", "{subspace}", "--dim", "2"], "--subspace-file and --dim"),
+        (["gamma", "--exact", "--kind", "haar", "--n", "2", "--seed", "1", "--m", "10"],
+         "--exact and --m"),
+    ],
+    ids=["state-kind-n", "state-noise", "labels-random", "set-n", "set-subspace-dim", "set-junk",
+         "subspace-n", "subspace-dim", "exact-m"],
+)
+def test_an_input_has_one_source(tmp_path, capsys, argv, rivals):
+    # Each rival flag was once dropped silently, and echoed in the report's config.
+    paths = _input_files(tmp_path)
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and rivals in err
 
 
 @pytest.mark.parametrize(

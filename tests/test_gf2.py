@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import bfs_lagrangians, gf2_rank, random_subspace
+from stabkit.additive import parse_set
 from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import (
     GF2Subspace,
@@ -17,11 +18,16 @@ from stabkit.gf2 import (
     extend_to_lagrangian,
     format_subspace,
     isotropic_cover,
+    label_batch_qubits,
+    parse_labels,
     parse_subspace,
     span_and_classify,
     symplectic_form,
     symplectic_gram_schmidt,
 )
+from stabkit.graphs import anticommutation_graph
+from stabkit.state import generate_state, weyl_matrices
+from stabkit.uncertainty import HamiltonianSpec, psi0_lower_bound, uncertainty_certificate
 
 I1 = WeylLabel(0, 1)
 X1 = WeylLabel.from_halves(1, 0, 1)
@@ -275,3 +281,27 @@ def test_subspace_text_roundtrip():
     assert parse_subspace(format_subspace(V)) == V
     with pytest.raises(ValidationError):
         parse_subspace("")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda labels: parse_labels("".join(lab.to_string() + "\n" for lab in labels)),
+        lambda labels: parse_set("".join(lab.to_string() + "\n" for lab in labels)),
+        span_and_classify,
+        weyl_matrices,
+        anticommutation_graph,
+        psi0_lower_bound,
+        lambda labels: HamiltonianSpec(tuple(labels), np.ones(len(labels)) / np.sqrt(len(labels))),
+        lambda labels: uncertainty_certificate(generate_state("t_tensor", 1), labels),
+    ],
+    ids=["parse_labels", "parse_set", "span_and_classify", "weyl_matrices",
+         "anticommutation_graph", "psi0_lower_bound", "HamiltonianSpec",
+         "uncertainty_certificate"],
+)
+def test_label_batch_entry_points_reject_empty_and_mixed_batches(entry):
+    with pytest.raises(ValidationError, match="one qubit count, got counts \\[\\]"):
+        entry([])
+    with pytest.raises(ValidationError, match="one qubit count, got counts \\[1, 2\\]"):
+        entry([X1, WeylLabel.from_string("1000")])
+    assert label_batch_qubits([X1, Z1]) == 1

@@ -61,6 +61,22 @@ def test_argmax_character_examples():
     assert h.argmax_lagrangian == V_X and h.argmax_character == 0
 
 
+def test_argmax_character_matches_a_fresh_transform_of_the_best_row():
+    # The character is kept from the batched pass; one row transformed alone must agree.
+    subspaces_by_n = {n: _lagrangian_table(n) for n in (1, 2, 3, 4)}
+    rng = np.random.default_rng(31)
+    for idx in range(60):
+        n = 1 + idx % 4
+        kind = ("haar", "noisy_stabilizer", "stabilizer")[idx % 3]
+        psi = generate_state(kind, n, noise=0.2, rng=rng)
+        report = stabilizer_fidelity_exact(psi)
+        subspaces, elements, signs = subspaces_by_n[n]
+        best = subspaces.index(report.argmax_lagrangian)
+        fresh = fwht(signs[best] * psi.expectations[elements[best]]) / (1 << n)
+        assert report.argmax_character == int(np.argmax(fresh))
+        assert report.f_s == fresh.max()
+
+
 def test_fidelity_examples():
     assert stabilizer_fidelity_exact(H_STATE).f_s == pytest.approx((2 + np.sqrt(2)) / 4)
     assert stabilizer_fidelity_exact(BELL).f_s == pytest.approx(1.0)
