@@ -90,15 +90,20 @@ def representation_counts(S: GF2Set) -> dict:
     size = S.size
     if size < 1:
         raise ValidationError("set must be nonempty")
-    r = dyadic_self_convolution(S.members.astype(np.float64))
+    r = dyadic_self_convolution(S.members)
     np.rint(r, out=r)
     closure = float(r[S.members].sum() / (size * size))
     energy = int(np.dot(r, r))
+    r.setflags(write=False)
     return {
         "r": DyadicTable(r, S.n, "generic"),
         "closure_prob": closure,
         "additive_energy": energy,
     }
+
+
+# Uniforms per block of an extraction attempt's draw (64 KiB).
+_DRAW_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -133,15 +138,23 @@ def extract_nearly_linear_set(
             stacklevel=2,
         )
     p = char_distribution(state)
-    mass = (1 << state.n) * p.values
-    heavy = mass >= gamma / 4.0
-    inclusion = np.where(heavy, np.minimum(mass, 1.0), 0.0)
+    scale = 1 << state.n
+    inclusion = scale * p.values  # the mass 2^n p(x), then min(mass, 1) on heavy labels
+    heavy = inclusion >= gamma / 4.0
+    np.minimum(inclusion, 1.0, out=inclusion)
+    inclusion[~heavy] = 0.0
+    # Each attempt draws its uniforms in blocks, in stream order, so no
+    # attempt allocates a second 4^n float array.
+    draws = np.empty(min(inclusion.size, _DRAW_BLOCK))
 
-    size_goal = (gamma / 2.0) * (1 << state.n)
+    size_goal = (gamma / 2.0) * scale
     closure_goal = gamma / 6.0
     best: ExtractionReport | None = None
     for attempt in range(1, retry_cap + 1):
-        members = rng.random(inclusion.size) < inclusion
+        members = np.empty(inclusion.size, dtype=bool)
+        for lo in range(0, inclusion.size, draws.size):
+            hi = lo + draws.size
+            np.less(rng.random(out=draws), inclusion[lo:hi], out=members[lo:hi])
         size = int(members.sum())
         if size == 0:
             candidate = ExtractionReport(
@@ -150,7 +163,7 @@ def extract_nearly_linear_set(
         else:
             sample = GF2Set(members, state.n)
             closure = representation_counts(sample)["closure_prob"]
-            min_mass = float(mass[members].min())
+            min_mass = scale * float(p.values[members].min())  # exact: scale is 2^n
             ok = size >= size_goal and closure >= closure_goal
             candidate = ExtractionReport(sample, size, min_mass, closure, ok, attempt)
         if candidate.succeeded:
@@ -224,8 +237,7 @@ def bsg_extract(
     best: BsgResult | None = None
     for trial in range(1, trials + 1):
         z = int(member_idx[rng.integers(size)])
-        b_mask = S.members & S.members[np.arange(S.members.size) ^ z]
-        b_idx = np.flatnonzero(b_mask)
+        b_idx = member_idx[S.members[member_idx ^ z]]  # B = S n (S+Z), ascending
         edges = heavy_pair[b_idx[:, None] ^ b_idx[None, :]]
         degrees = edges.sum(axis=1)
         keep = degrees >= _DEGREE_FRACTION * b_idx.size
@@ -262,13 +274,15 @@ def _coset_keys(indices: np.ndarray, basis: tuple[int, ...]) -> np.ndarray:
     return keys
 
 
-def brute_force_subspace_cover(S: GF2Set) -> dict:
+def brute_force_subspace_cover(S: GF2Set, doubling: float | None = None) -> dict:
     """Tiny-n stand-in for the covering step of the small-doubling theory.
 
     Scans every subspace V of F2^(2n) with |V| <= |S| and returns the one
     hit by the fewest translates (ties broken toward larger subspaces, then
     lexicographically).  Exponential in 2n, hence capped at 2n <= 8; call
-    it deliberately, never from a hot path.
+    it deliberately, never from a hot path.  ``doubling`` is |S+S|/|S| when
+    the caller already has it (BSG computes it for S'); otherwise it is
+    computed here.
     """
     if 2 * S.n > 8:
         raise CapExceededError(
@@ -287,7 +301,8 @@ def brute_force_subspace_cover(S: GF2Set) -> dict:
         if best is None or ranking < best:
             best = ranking
     assert best is not None
-    doubling = sumset_doubling(S)["doubling"]
+    if doubling is None:
+        doubling = sumset_doubling(S)["doubling"]
     return {
         "subspace": GF2Subspace(best[2], S.n),
         "translate_count": best[0],

@@ -379,7 +379,7 @@ def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
         "stats": result.stats,
     }
     if cfg["pfr_search"] and result.s_prime.size:
-        cover = additive.brute_force_subspace_cover(result.s_prime)
+        cover = additive.brute_force_subspace_cover(result.s_prime, result.stats["doubling"])
         payload["pfr_search"] = {
             "subspace": [lab.to_string() for lab in cover["subspace"].labels()],
             "translate_count": cover["translate_count"],

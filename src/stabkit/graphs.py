@@ -118,17 +118,23 @@ def compose_graphs(
     raise ValidationError(f"unknown graph operation {op!r}")
 
 
+def _check_graph_qubits(name: str, k: int) -> None:
+    """A qubit count below 1 is invalid; above 3 the order passes the theta cap of 64."""
+    if k < 1:
+        raise ValidationError(f"{name} needs k >= 1 qubits, got {k}")
+    if k > 3:
+        raise CapExceededError(f"{name} supports 1 <= k <= 3, got {k}")
+
+
 def pauli_group_graph(k: int) -> SimpleGraph:
     """Anti-commutation graph of all 4^k Weyl labels on k qubits (1 <= k <= 3)."""
-    if not 1 <= k <= 3:
-        raise CapExceededError(f"pauli_group_graph supports 1 <= k <= 3, got {k}")
+    _check_graph_qubits("pauli_group_graph", k)
     return anticommutation_graph([WeylLabel(bits, k) for bits in range(1 << (2 * k))])
 
 
 def symplectic_graph(k: int) -> SimpleGraph:
     """Sp(2k,2): nonzero vectors of F2^(2k), edges where the form vanishes."""
-    if not 1 <= k <= 3:
-        raise CapExceededError(f"symplectic_graph supports 1 <= k <= 3, got {k}")
+    _check_graph_qubits("symplectic_graph", k)
     labels = [WeylLabel(bits, k) for bits in range(1, 1 << (2 * k))]
     anti = anticommutation_graph(labels)
     return compose_graphs("complement", anti)

@@ -35,9 +35,11 @@ __all__ = [
 ROUND_CAP = 200_000_000
 # Rounds drawn per pass of estimate_gamma; every m up to it is drawn in one pass.
 _ROUND_CHUNK = 1 << 17
-# Draws per block of sample_labels' lifting, so its per-step temporaries stay
-# cache-sized and are not count-sized arrays.
-_LIFT_BLOCK = 1 << 14
+# Draws per block of sample_labels' lifting and of the accept step, so their
+# uniforms and per-step temporaries stay cache-sized (64 KiB of doubles) and
+# are not count-sized arrays.  Blocks draw in stream order, so the draws equal
+# one count-sized call.
+_LIFT_BLOCK = 1 << 13
 
 
 class BellSampler:
@@ -47,8 +49,6 @@ class BellSampler:
         self.p = char_distribution(state)
         self._cdf = np.cumsum(self.p.values)
         self._cdf[-1] = 1.0
-        # <W_a>^2 = 2^n p(a), the per-label accept bias.
-        self._expect_sq = (1 << state.n) * self.p.values
 
     def sample_labels(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF draws from p, as packed label bits.
@@ -60,10 +60,10 @@ class BellSampler:
         is <= u.  That test is monotone in the index even where roundoff takes
         the running sum past 1 before the last entry, because u < 1 = cdf[-1].
         """
-        u = rng.random(count)
         labels = np.zeros(count, dtype=np.intp)
         for lo in range(0, count, _LIFT_BLOCK):
-            ub, idx = u[lo : lo + _LIFT_BLOCK], labels[lo : lo + _LIFT_BLOCK]
+            idx = labels[lo : lo + _LIFT_BLOCK]
+            ub = rng.random(idx.size)
             step = self._cdf.size >> 1
             while step:
                 idx += (self._cdf[step - 1 :][idx] <= ub) * step
@@ -72,16 +72,18 @@ class BellSampler:
 
     def rounds(self, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized rounds: (difference labels, accept bits)."""
-        # At most three count-sized arrays are alive at once: a with the second
-        # draw's u and labels (the lifting's temporaries are block-sized), then
-        # a with bias, updated in place, and the accept draw.
+        # At most two count-sized arrays are alive at once: a with the second
+        # draw's labels, then a with the accept bits.
         a = self.sample_labels(count, rng)
         a ^= self.sample_labels(count, rng)
-        bias = self._expect_sq[a]
-        bias += 1.0
-        bias *= 0.5
-        accepts = rng.random(count) < bias
-        return a, accepts.astype(np.int64)
+        accepts = np.empty(count, dtype=np.int64)
+        for lo in range(0, count, _LIFT_BLOCK):
+            bias = self.p.values[a[lo : lo + _LIFT_BLOCK]]
+            bias *= 1 << self.p.n  # <W_a>^2 = 2^n p(a), the per-label accept bias
+            bias += 1.0
+            bias *= 0.5
+            accepts[lo : lo + _LIFT_BLOCK] = rng.random(bias.size) < bias
+        return a, accepts
 
 
 def estimate_gamma(state: PureState, m: int, rng: np.random.Generator) -> float:

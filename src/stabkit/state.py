@@ -4,10 +4,20 @@ States are immutable normalized complex vectors of length 2^n (cap n <= 12);
 the full 4^n tables (characteristic and Weyl distributions) are capped at
 n <= 8.  The fast Walsh-Hadamard transform drives both the table
 construction, in O(4^n n), and the dyadic self-convolution.
+
+Allocation rule for the 4^n tables: a call allocates each 4^n array at most
+once, and the scratch kept between calls is at most 1 MiB per thread (two
+float64 tables of 4^8 entries).  Freed n = 8 temporaries of 0.5-1 MiB go
+back to the operating system and are faulted in again by the next call,
+which once cost n = 8 calls a fifth to a third of their time.  So the
+expectation table is built in row blocks of 128 KiB inside the scratch, the
+convolution transforms its own output in place against the scratch, gamma
+keeps q in it, and a read-only table handed to ``DyadicTable`` is not copied.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Literal
@@ -44,6 +54,30 @@ TABLE_QUBIT_CAP = 8
 _NORM_TOL = 1e-12
 _HERMITICITY_TOL = 1e-10
 _PHASE_ARRAY = np.array((1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j))  # i^k, exact
+# Complex entries per row block of the expectation table (128 KiB).
+_TABLE_BLOCK = 1 << 13
+
+_scratch = threading.local()
+
+
+def _real_scratch(size: int) -> np.ndarray:
+    """A float64 work buffer of ``size`` entries, kept for later calls in this thread.
+
+    One buffer serves every n: it grows to the largest request, at most two
+    4^TABLE_QUBIT_CAP tables (1 MiB).  Longer requests get a fresh array.
+    The contents are garbage; a caller must be done with the buffer before it
+    calls anything else that uses it.  It starts on a 64-byte boundary: on a
+    16-byte one (where malloc puts it) the n = 8 table and convolution ran
+    about a fifth slower (2-vCPU x86-64, numpy 2.4).
+    """
+    if size > 2 << (2 * TABLE_QUBIT_CAP):
+        return np.empty(size)
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < size:
+        raw = np.empty(size + 8)
+        start = -raw.ctypes.data % 64 // 8
+        buf = _scratch.buf = raw[start : start + size]
+    return buf[:size]
 
 
 def _check_qubit_count(n: int) -> None:
@@ -94,13 +128,20 @@ class PureState:
     @cached_property
     def char_dist(self) -> "DyadicTable":
         """Characteristic distribution p(x) = 2^-n <psi|W_x|psi>^2."""
-        return DyadicTable(self.expectations**2 / self.dim, self.n, "char_dist")
+        values = np.square(self.expectations)
+        values /= self.dim
+        values.setflags(write=False)
+        return DyadicTable(values, self.n, "char_dist")
 
     @cached_property
     def gamma(self) -> float:
         """E_{x~q}[2^n p(x)] with q the Weyl distribution of p."""
         p = self.char_dist
-        return float(np.dot(weyl_distribution(p).values, self.dim * p.values))
+        size = p.values.size
+        work = _real_scratch(2 * size)  # q, then 2^n p, live only in this call
+        q = _weyl_values(p, work[:size], work[size:])
+        mass = np.multiply(p.values, self.dim, out=work[size:])
+        return float(np.dot(q, mass))
 
 
 TableKind = Literal["char_dist", "weyl_dist", "generic"]
@@ -108,7 +149,11 @@ TableKind = Literal["char_dist", "weyl_dist", "generic"]
 
 @dataclass(frozen=True)
 class DyadicTable:
-    """A real table over F2^(2n), indexed by the packed Weyl-label bits."""
+    """A real table over F2^(2n), indexed by the packed Weyl-label bits.
+
+    ``values`` is copied unless it is a read-only float64 array that owns
+    its data, which nothing can then write.
+    """
 
     values: np.ndarray
     n: int
@@ -130,9 +175,29 @@ class DyadicTable:
             raise ValidationError(
                 f"char_dist entry {vals.max()!r} exceeds 2^-n for n={self.n}"
             )
-        vals = vals.copy()
-        vals.setflags(write=False)
+        if vals.flags.writeable or not vals.flags.owndata:
+            vals = vals.copy()
+            vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+
+def _fwht_levels(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Run fwht's levels along the last axis, src and dst taking turns.
+
+    Returns whichever of the two holds the transform: src after an even
+    number of levels, dst after an odd one.  Both are overwritten, src from
+    the second level on.
+    """
+    size = src.shape[-1]
+    if size & (size - 1):
+        raise ValidationError(f"transform length {size} is not a power of two")
+    half = size // 2
+    for _ in range(size.bit_length() - 1):
+        a, b = src[..., 0::2], src[..., 1::2]
+        np.add(a, b, out=dst[..., :half])
+        np.subtract(a, b, out=dst[..., half:])
+        src, dst = dst, src
+    return src
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -154,34 +219,36 @@ def fwht(values: np.ndarray) -> np.ndarray:
     its own index.  Each entry is the same sum or difference of the same two
     operands as in the in-place butterfly, so the rounding and the zero signs
     are unchanged; only the layout between levels differs.  The copy and one
-    scratch buffer take turns as source and destination, so no level
-    allocates.
+    scratch buffer take turns as source and destination (``_fwht_levels``),
+    so no level allocates.
     """
     src = np.array(values, order="C")
-    size = src.shape[-1]
-    if size & (size - 1):
-        raise ValidationError(f"transform length {size} is not a power of two")
-    dst = np.empty_like(src)
-    half = size // 2
-    for _ in range(size.bit_length() - 1):
-        a, b = src[..., 0::2], src[..., 1::2]
-        np.add(a, b, out=dst[..., :half])
-        np.subtract(a, b, out=dst[..., half:])
-        src, dst = dst, src
-    return src
+    return _fwht_levels(src, np.empty_like(src))
+
+
+def _convolve_into(out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Replace the real table in ``out`` by its dyadic self-convolution.
+
+    Transform, square in place, transform back, divide by the length; this
+    order is part of the rounding that report bytes depend on.  ``out`` and
+    ``scratch`` take turns as the transforms' buffers; their levels add up
+    to an even number, so the result ends in ``out``.
+    """
+    spectrum = _fwht_levels(out, scratch)
+    np.multiply(spectrum, spectrum, out=spectrum)
+    _fwht_levels(spectrum, scratch if spectrum is out else out)
+    out /= out.size
+    return out
 
 
 def dyadic_self_convolution(values: np.ndarray) -> np.ndarray:
-    """(f * f)(x) = sum_y f(y) f(x + y) over F2^(2n), for f = ``values``.
+    """(f * f)(x) = sum_y f(y) f(x + y) over F2^(2n), for a real f = ``values``.
 
-    Transform, square in place, transform back, divide by the length; this
-    order is part of the rounding that report bytes depend on.
+    The float64 copy of ``values`` (bool sets included) is the only array
+    allocated; the transforms run in it against the per-thread scratch.
     """
-    spectrum = fwht(values)
-    np.multiply(spectrum, spectrum, out=spectrum)
-    out = fwht(spectrum)
-    out /= values.size
-    return out
+    out = np.array(values, dtype=np.float64, order="C")
+    return _convolve_into(out, _real_scratch(out.size).reshape(out.shape))
 
 
 def _check_n(state: PureState, x: WeylLabel) -> None:
@@ -253,25 +320,42 @@ def weyl_expectation_table(state: PureState) -> np.ndarray:
     """All 4^n expectations <psi|W_x|psi> as a real vector indexed by packed bits.
 
     For each X-half a, the map x2 -> sum_z (-1)^(x2.z) psi*(z^a) psi(z) is one
-    Walsh-Hadamard transform, so the whole table costs O(4^n n).
+    Walsh-Hadamard transform, so the whole table costs O(4^n n).  The rows a
+    are independent, so they are built in blocks of 128 KiB in the scratch,
+    and each block's real part goes straight into the output, the only 4^n
+    array allocated.  Every entry takes the same float operations as in one
+    whole-table pass, so the bits are the same.
     """
     if state.n > TABLE_QUBIT_CAP:
         raise CapExceededError(
             f"full tables capped at n={TABLE_QUBIT_CAP}, got {state.n}"
         )
+    dim = state.dim
     xored, phase_idx = _table_indices(state.n)
-    # take() gathers with uint8 indices faster than [] does (about 2x at n = 8).
-    table = np.conj(state.amplitudes).take(xored)  # [x1, z]
-    table *= state.amplitudes
-    table = fwht(table)  # [x1, x2]; rebinding frees the input, which fwht copied
-    # The complex multiply by i^k, not a real-part shortcut, fixes the zero signs.
-    np.multiply(_PHASE_ARRAY.take(phase_idx), table, out=table)
-    worst = float(np.max(np.abs(table.imag)))
+    conj = np.conj(state.amplitudes)
+    rows = min(dim, _TABLE_BLOCK >> state.n)
+    work = _real_scratch(6 * rows * dim).view(np.complex128).reshape(3, rows, dim)
+    gathered, spare, phases = work  # gathered is [x1, z]
+    out = np.empty(dim * dim)
+    by_x2 = out.reshape(dim, dim)  # [x2, x1]: index = x1 | x2<<n
+    worst = 0.0
+    for lo in range(0, dim, rows):
+        # take() gathers with uint8 indices faster than [] does (about 2x at
+        # n = 8); the indices are in range, and mode="clip" lets take write
+        # into out= without a buffer of its own.
+        conj.take(xored[lo : lo + rows], out=gathered, mode="clip")
+        gathered *= state.amplitudes
+        block = _fwht_levels(gathered, spare)  # [x1, x2]
+        # The complex multiply by i^k, not a real-part shortcut, fixes the zero signs.
+        _PHASE_ARRAY.take(phase_idx[lo : lo + rows], out=phases, mode="clip")
+        np.multiply(phases, block, out=block)
+        worst = max(worst, float(np.max(np.abs(block.imag))))
+        by_x2[:, lo : lo + rows] = block.real.T
     if worst > _HERMITICITY_TOL:
         raise CertificateError(
             f"expectation table has imaginary residue {worst!r} (engine bug)"
         )
-    return np.ascontiguousarray(table.real.T.reshape(-1))  # index = x1 | x2<<n
+    return out
 
 
 def char_distribution(state: PureState) -> DyadicTable:
@@ -279,15 +363,24 @@ def char_distribution(state: PureState) -> DyadicTable:
     return state.char_dist
 
 
+def _weyl_values(p: DyadicTable, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The Weyl distribution's values p * p, computed in ``out``."""
+    np.copyto(out, p.values)
+    q = _convolve_into(out, scratch)
+    # Convolution roundoff can leave ~1e-17 negatives; clip those only.
+    if q.min() < -1e-12:
+        raise CertificateError(f"convolution negativity {q.min()!r} (engine bug)")
+    return np.maximum(q, 0.0, out=q)
+
+
 def weyl_distribution(p: DyadicTable) -> DyadicTable:
     """Weyl distribution q(x) = sum_y p(y) p(x+y), via the dyadic transform."""
     if p.kind != "char_dist":
         raise ValidationError(f"weyl_distribution expects a char_dist, got {p.kind}")
-    q = dyadic_self_convolution(p.values)
-    # Convolution roundoff can leave ~1e-17 negatives; clip those only.
-    if q.min() < -1e-12:
-        raise CertificateError(f"convolution negativity {q.min()!r} (engine bug)")
-    return DyadicTable(np.maximum(q, 0.0), p.n, "weyl_dist")
+    size = p.values.size
+    q = _weyl_values(p, np.empty(size), _real_scratch(size))
+    q.setflags(write=False)
+    return DyadicTable(q, p.n, "weyl_dist")
 
 
 def gamma_exact(state: PureState) -> float:

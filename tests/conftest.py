@@ -40,6 +40,14 @@ def reference_fwht(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def assert_bit_identical(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal dtype, shape and values, with the signs of zeros equal too."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
 def reference_expectation_table(state: PureState) -> np.ndarray:
     """All 4^n expectations <psi|W_x|psi>, with every index table built per call.
 
@@ -56,6 +64,20 @@ def reference_expectation_table(state: PureState) -> np.ndarray:
     ]
     np.multiply(phases, table, out=table)
     return np.ascontiguousarray(table.real.T.reshape(-1))  # index = x1 | x2<<n
+
+
+def reference_dyadic_self_convolution(values: np.ndarray) -> np.ndarray:
+    """(f * f) through ``reference_fwht``: transform, square, transform back, divide.
+
+    The steps and their order are ``state.dyadic_self_convolution``'s, which
+    must match this bit for bit, zero signs included; ``values`` is cast to
+    float64 first, as a bool set is.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    spectrum = reference_fwht(values)
+    spectrum = spectrum * spectrum
+    out = reference_fwht(spectrum)
+    return out / values.size
 
 
 def graph_state(n: int, rng: np.random.Generator) -> PureState:

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import naive_dyadic_convolution, random_subspace
+from conftest import (
+    assert_bit_identical,
+    naive_dyadic_convolution,
+    random_subspace,
+    reference_dyadic_self_convolution,
+)
 from stabkit.additive import (
     GF2Set,
     bsg_extract,
@@ -56,6 +61,17 @@ def test_representation_counts_invariants_and_naive_oracle():
         assert r.sum() == S.size**2
         naive = naive_dyadic_convolution(S.members.astype(float))
         assert np.max(np.abs(r - naive)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_representation_counts_are_bit_identical_to_the_reference(n):
+    # The bitset is convolved as it is, with no float copy made first.
+    rng = np.random.default_rng(40 + n)
+    for density in (0.02, 0.3, 0.9):
+        members = rng.random(1 << (2 * n)) < density
+        members[rng.integers(members.size)] = True
+        want = np.rint(reference_dyadic_self_convolution(members))
+        assert_bit_identical(representation_counts(GF2Set(members, n))["r"].values, want)
 
 
 def test_extract_full_group_from_stabilizer_state():

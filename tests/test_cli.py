@@ -622,6 +622,25 @@ def test_bsg_convolves_its_set_once(tmp_path, monkeypatch):
     assert len(sets) == 1 and sum(S is sets[0] for S in calls) == 1
 
 
+def test_bsg_pfr_search_convolves_each_set_once(tmp_path, monkeypatch):
+    # The cover search reads S''s doubling from the BSG stats; it once convolved S' a second time.
+    calls = []
+    counts = additive.representation_counts
+    monkeypatch.setattr(additive, "representation_counts", lambda S: calls.append(S) or counts(S))
+    argv = ["bsg", "--n", "3", "--subspace-dim", "3", "--junk", "2", "--seed", "17", "--pfr-search"]
+    code, payload = run_to_file(tmp_path, "b.json", argv)
+    assert code == 0 and "pfr_search" in json.loads(payload)["results"]
+    assert len(calls) == 2 and all(sum(T is S for T in calls) == 1 for S in calls)
+
+
+@pytest.mark.parametrize("flag", ["--pauli-graph", "--symplectic-graph"])
+@pytest.mark.parametrize("k, code", [(0, 2), (4, 4)])
+def test_theta_graph_family_qubits(capsys, flag, k, code):
+    # k = 0 is invalid input (exit 2), as --complete 0 is; k = 4 passes the order cap (exit 4).
+    assert cli.main(["theta", flag, str(k)]) == code
+    assert ("cap exceeded" if code == 4 else "validation error") in capsys.readouterr().err
+
+
 def _input_files(tmp_path) -> dict:
     """One file per input flag: a Haar state at n = 2, and labels, a set and a subspace."""
     paths = {key: tmp_path / name for key, name in
@@ -696,6 +715,23 @@ def test_rounds_above_the_cap_exit_4(capsys, argv):
     err = capsys.readouterr().err
     assert "cap exceeded" in err
     assert ("242748832" if "0.3" in argv else "200000001") in err
+
+
+def test_warm_n8_exact_gamma_faults_few_fresh_pages(tmp_path):
+    # A warm n = 8 call once faulted in 1,344 fresh pages a call, because it
+    # allocated its 0.5-1 MiB tables several times over and the heap handed
+    # the freed ones back to the system.  It now faults 224 (its expectation
+    # and char_dist tables, 512 KiB each); the bound is half the old count.
+    resource = pytest.importorskip("resource", reason="needs resource.getrusage (POSIX)")
+    path = tmp_path / "st.json"
+    path.write_text(json.dumps(state_to_json_dict(generate_state("haar", 8, seed=8))))
+    argv = ["gamma", "--exact", "--state-file", str(path), "--out", str(tmp_path / "g.json")]
+    faults = []
+    for _ in range(4):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(argv) == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert min(faults[1:]) <= 672
 
 
 # The child's own peak: ru_maxrss would carry the parent's peak across exec.

@@ -139,18 +139,21 @@ def test_gamma_bar_stays_in_range():
 
 
 class _GivenUniforms:
-    """Stands in for a Generator whose next random(count) returns u."""
+    """Stands in for a Generator whose random(count) calls return u, in order."""
 
     def __init__(self, u):
-        self.u = u
+        self.u, self.used = u, 0
 
     def random(self, count):
-        assert count == self.u.size
-        return self.u
+        self.used += count
+        assert self.used <= self.u.size
+        return self.u[self.used - count : self.used]
 
 
 def _assert_labels_are_searchsorted(sampler, u):
-    got = sampler.sample_labels(u.size, _GivenUniforms(u))
+    given = _GivenUniforms(u)
+    got = sampler.sample_labels(u.size, given)
+    assert given.used == u.size
     assert np.array_equal(got, np.searchsorted(sampler._cdf, u, side="right"))
 
 

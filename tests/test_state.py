@@ -2,25 +2,33 @@
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import (
+    assert_bit_identical,
     graph_state,
     naive_dyadic_convolution,
+    reference_dyadic_self_convolution,
     reference_expectation_table,
     reference_fwht,
 )
+from stabkit import state as state_module
+from stabkit.additive import GF2Set, representation_counts
 from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import WeylLabel
 from stabkit.oracle import stabilizer_fidelity_exact
 from stabkit.state import (
+    TABLE_QUBIT_CAP,
     DyadicTable,
     PureState,
     apply_weyl,
     char_distribution,
+    dyadic_self_convolution,
     fwht,
     gamma_exact,
     generate_state,
@@ -256,13 +264,6 @@ def test_fwht_self_inverse_and_parseval():
         fwht(np.zeros(5))
 
 
-def _assert_bit_identical(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
-
-
 def _with_signed_zeros(values, rng):
     """Random entries with +-0 and repeated values, so zero signs are exercised."""
     values = values.copy()
@@ -283,12 +284,13 @@ def test_fwht_is_bit_identical_to_the_reference_butterfly():
             inputs.append(_with_signed_zeros(rng.normal(size=(rows, 1 << k)), rng))
         shape = (1 << k, 1 << k)
         inputs.append(_with_signed_zeros(rng.normal(size=shape) + 1j * rng.normal(size=shape), rng))
+        inputs.append(_with_signed_zeros(rng.normal(size=(1 << k, 5)), rng).T)  # not C-contiguous
     psi = generate_state("haar", 4, seed=3)
     inputs += [psi.char_dist.values, psi.expectations, np.arange(64)]  # read-only and integer
     for values in inputs:
         before = values.copy()
-        _assert_bit_identical(fwht(values), reference_fwht(values))
-        _assert_bit_identical(values, before)
+        assert_bit_identical(fwht(values), reference_fwht(values))
+        assert_bit_identical(values, before)
 
 
 def _table_states(n):
@@ -304,14 +306,86 @@ def test_expectation_table_is_bit_identical_to_the_reference(n):
     # Report bytes depend on the table's rounding and zero signs; the
     # stabilizer and graph states give exact zeros and +-1 entries.
     for psi in _table_states(n):
-        _assert_bit_identical(weyl_expectation_table(psi), reference_expectation_table(psi))
+        assert_bit_identical(weyl_expectation_table(psi), reference_expectation_table(psi))
+
+
+def test_dyadic_self_convolution_is_bit_identical_to_the_reference():
+    # Odd and even level counts, lengths past the cached scratch (2 * 4^8
+    # entries), and a bool set, which is convolved without a float copy.
+    rng = np.random.default_rng(15)
+    inputs = [_with_signed_zeros(rng.normal(size=1 << k), rng) for k in range(19)]
+    inputs += [rng.random(1 << k) < 0.3 for k in (1, 4, 7, 16)]
+    for values in inputs:
+        before = values.copy()
+        assert_bit_identical(dyadic_self_convolution(values),
+                             reference_dyadic_self_convolution(values))
+        assert_bit_identical(values, before)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_distributions_and_gamma_are_bit_identical_to_the_reference(n):
+    # p is squared and divided in place, q clipped in place, and gamma's q and
+    # 2^n p live in the scratch; each must match the formula on fresh arrays.
+    for psi in _table_states(n):
+        p = reference_expectation_table(psi) ** 2 / psi.dim
+        q = np.maximum(reference_dyadic_self_convolution(p), 0.0)
+        assert_bit_identical(char_distribution(psi).values, p)
+        assert_bit_identical(weyl_distribution(char_distribution(psi)).values, q)
+        assert repr(gamma_exact(psi)) == repr(float(np.dot(q, psi.dim * p)))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_results_share_no_memory_with_the_scratch_or_each_other(n):
+    # The transforms and tables work in a cached per-thread scratch.  No result
+    # may be that buffer, or an earlier call's result, and a later call at the
+    # same n must leave an earlier result as it was.
+    scratch = state_module._real_scratch(2 << (2 * TABLE_QUBIT_CAP))  # the whole buffer
+    rng = np.random.default_rng(30 + n)
+    results, copies = [], []
+    for seed in (1, 2):
+        psi = generate_state("haar", n, seed=seed)
+        members = rng.random(1 << (2 * n)) < 0.3
+        members[0] = True
+        vector = rng.normal(size=1 << (2 * n))
+        read_only = [psi.expectations, char_distribution(psi).values,
+                     weyl_distribution(char_distribution(psi)).values,
+                     representation_counts(GF2Set(members, n))["r"].values]
+        assert not any(values.flags.writeable for values in read_only)
+        gamma_exact(psi)
+        batch = [fwht(vector), dyadic_self_convolution(vector), weyl_expectation_table(psi),
+                 *read_only]
+        results += batch
+        copies += [values.copy() for values in batch]
+    for i, values in enumerate(results):
+        assert not np.shares_memory(values, scratch)
+        assert not any(np.shares_memory(values, other) for other in results[i + 1 :])
+        assert_bit_identical(values, copies[i])
+
+
+def test_threads_each_get_their_own_scratch():
+    # Four workers on two cores convolve at once; a scratch shared between
+    # threads would mix their transforms.
+    rng = np.random.default_rng(16)
+    vectors = [rng.normal(size=1 << 14) for _ in range(8)]
+    want = [reference_dyadic_self_convolution(v) for v in vectors]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(dyadic_self_convolution, vectors * 10, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, values in enumerate(got):
+        assert_bit_identical(values, want[i % len(vectors)])
 
 
 def test_expectation_table_peak_memory_at_n8():
     # One n = 8 call peaked at 4,198,304 bytes when it built int64 gather and
-    # complex phase tables per call; with the per-n uint8 tables cached it
-    # peaks at 3,278,528 (the transform's input, copy and scratch, 1 MiB
-    # each). The bound is that peak plus 10%.
+    # complex phase tables per call, and at 3,278,528 with the per-n uint8
+    # tables cached (the transform's input, copy and scratch, 1 MiB each).
+    # Built in row blocks in the cached scratch, it peaks at 661,368: the
+    # 512 KiB output plus one block's index cast and |imag| (64 KiB each).
+    # The bound is that peak plus 10%.
     psi = generate_state("haar", 8, seed=8)
     weyl_expectation_table(psi)  # fills the per-n cache
     tracemalloc.start()
@@ -320,7 +394,7 @@ def test_expectation_table_peak_memory_at_n8():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.10 * 3_278_528
+    assert peak <= 1.10 * 661_368
 
 
 def test_state_json_roundtrip():
