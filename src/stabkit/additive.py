@@ -9,15 +9,16 @@ hold, and a capped failure is data rather than a crash.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .gf2 import GF2Subspace, WeylLabel, enumerate_subspaces, parse_labels
 from .state import (TABLE_QUBIT_CAP, DyadicTable, PureState, char_distribution,
-                    dyadic_self_convolution, gamma_exact)
+                    dyadic_self_convolution, gamma_exact, uniform_blocks)
 
 __all__ = [
     "GF2Set",
@@ -102,10 +103,6 @@ def representation_counts(S: GF2Set) -> dict:
     }
 
 
-# Uniforms per block of an extraction attempt's draw (64 KiB).
-_DRAW_BLOCK = 1 << 13
-
-
 @dataclass(frozen=True)
 class ExtractionReport:
     set: GF2Set
@@ -128,9 +125,12 @@ def extract_nearly_linear_set(
     probability 2^n p(x), retrying until |S| >= (gamma/2) 2^n and the
     closure probability reaches gamma/6, or the cap runs out (failure flag;
     expected when 2^n is far below the regime the guarantee needs).
+    gamma must be a finite number > 0: at 0 or below every label is heavy.
     """
     if retry_cap < 1:
         raise ValidationError(f"retry cap must be >= 1, got {retry_cap}")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValidationError(f"gamma must be a finite number > 0, got {gamma!r}")
     exact = gamma_exact(state)
     if gamma > exact + 1e-9:
         warnings.warn(
@@ -143,39 +143,25 @@ def extract_nearly_linear_set(
     heavy = inclusion >= gamma / 4.0
     np.minimum(inclusion, 1.0, out=inclusion)
     inclusion[~heavy] = 0.0
-    # Each attempt draws its uniforms in blocks, in stream order, so no
-    # attempt allocates a second 4^n float array.
-    draws = np.empty(min(inclusion.size, _DRAW_BLOCK))
 
-    size_goal = (gamma / 2.0) * scale
+    size_goal = (gamma / 2.0) * scale  # > 0, so an empty sample never succeeds
     closure_goal = gamma / 6.0
     best: ExtractionReport | None = None
     for attempt in range(1, retry_cap + 1):
         members = np.empty(inclusion.size, dtype=bool)
-        for lo in range(0, inclusion.size, draws.size):
-            hi = lo + draws.size
-            np.less(rng.random(out=draws), inclusion[lo:hi], out=members[lo:hi])
-        size = int(members.sum())
-        if size == 0:
-            candidate = ExtractionReport(
-                GF2Set(members, state.n), 0, 0.0, 0.0, False, attempt
-            )
-        else:
-            sample = GF2Set(members, state.n)
-            closure = representation_counts(sample)["closure_prob"]
-            min_mass = scale * float(p.values[members].min())  # exact: scale is 2^n
-            ok = size >= size_goal and closure >= closure_goal
-            candidate = ExtractionReport(sample, size, min_mass, closure, ok, attempt)
+        for block, u in uniform_blocks(rng, inclusion.size):
+            np.less(u, inclusion[block], out=members[block])
+        sample = GF2Set(members, state.n)
+        size = sample.size
+        closure = representation_counts(sample)["closure_prob"] if size else 0.0
+        min_mass = scale * float(p.values[members].min()) if size else 0.0  # exact: scale is 2^n
+        ok = size >= size_goal and closure >= closure_goal
+        candidate = ExtractionReport(sample, size, min_mass, closure, ok, attempt)
         if candidate.succeeded:
             return candidate
-        if best is None or (candidate.size, candidate.closure_prob) > (
-            best.size,
-            best.closure_prob,
-        ):
+        if best is None or (size, closure) > (best.size, best.closure_prob):
             best = candidate
-    return ExtractionReport(
-        best.set, best.size, best.min_mass, best.closure_prob, False, retry_cap
-    )
+    return replace(best, retries_used=retry_cap)
 
 
 def sumset_doubling(S: GF2Set) -> dict:
@@ -217,10 +203,10 @@ def bsg_extract(
     the closure probability of S itself, read off the same counts r.
     """
     counts = representation_counts(S)
-    if eps is None:
-        eps = counts["closure_prob"]
+    source = "eps" if eps is not None else "the set's closure probability, the default eps,"
+    eps = counts["closure_prob"] if eps is None else eps
     if not 0.0 < eps <= 1.0:
-        raise ValidationError(f"eps must be in (0,1], got {eps}")
+        raise ValidationError(f"{source} must be in (0,1], got {eps}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if counts["closure_prob"] < eps - 1e-12:
@@ -231,7 +217,7 @@ def bsg_extract(
     r = counts["r"].values
     heavy_pair = r >= _HEAVY_FRACTION * eps * eps * size
     member_idx = S.indices()
-    size_goal = eps / (2.0 * np.sqrt(2.0)) * size
+    size_goal = eps / (2.0 * math.sqrt(2.0)) * size  # > 0, so an empty S' never succeeds
     doubling_goal = 8.0 * eps**-6
 
     best: BsgResult | None = None
@@ -249,16 +235,11 @@ def bsg_extract(
             "degree_histogram": np.bincount(degrees).tolist(),
             "s_prime_size": int(s_prime_idx.size),
         }
-        if s_prime_idx.size == 0:
-            candidate = BsgResult(
-                GF2Set(np.zeros_like(S.members), S.n), WeylLabel(z, S.n), False, stats, eps
-            )
-        else:
-            s_prime = GF2Set.from_indices(s_prime_idx, S.n)
-            doubling = sumset_doubling(s_prime)["doubling"]
-            stats["doubling"] = doubling
-            ok = s_prime_idx.size >= size_goal and doubling <= doubling_goal
-            candidate = BsgResult(s_prime, WeylLabel(z, S.n), ok, stats, eps)
+        s_prime = GF2Set.from_indices(s_prime_idx, S.n)
+        if s_prime_idx.size:
+            stats["doubling"] = sumset_doubling(s_prime)["doubling"]
+        ok = s_prime_idx.size >= size_goal and stats["doubling"] <= doubling_goal
+        candidate = BsgResult(s_prime, WeylLabel(z, S.n), ok, stats, eps)
         if candidate.succeeded:
             return candidate
         if best is None or candidate.stats["s_prime_size"] > best.stats["s_prime_size"]:

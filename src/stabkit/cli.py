@@ -184,6 +184,8 @@ def _load_state(cfg: dict, rng: np.random.Generator | None = None) -> state.Pure
         raise ValidationError("--kind or --state-file is required")
     if cfg["n"] is None:
         raise ValidationError("--n is required when generating a state")
+    if cfg["noise"] is not None and cfg["kind"] != "noisy_stabilizer":
+        raise ValidationError(f"--noise needs --kind noisy_stabilizer, not --kind {cfg['kind']}")
     return state.generate_state(
         cfg["kind"], cfg["n"], cfg["seed"], noise=_get(cfg, "noise", 0.0), rng=rng
     )
@@ -398,10 +400,7 @@ def _cmd_cover(cfg: dict) -> tuple[dict, dict]:
         n = cfg["n"]
         V = gf2.random_subspace(n, _get(cfg, "dim", n), rng)
     parts = gf2.isotropic_cover(V)
-    union = set()
-    for part in parts:
-        union |= set(part.element_bits)
-    union_exact = union == set(V.element_bits)
+    union_exact = gf2.covers_exactly(V, parts)
     if not union_exact or len(parts) > (1 << V.k) + 1:
         raise CertificateError("isotropic cover failed its own contract")
     return {

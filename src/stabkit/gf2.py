@@ -30,6 +30,7 @@ __all__ = [
     "symplectic_gram_schmidt",
     "extend_to_lagrangian",
     "isotropic_cover",
+    "covers_exactly",
     "enumerate_lagrangians",
     "enumerate_subspaces",
     "random_subspace",
@@ -127,10 +128,11 @@ def _reduce_rows(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(basis, reverse=True))
 
 
-def _in_span(vec: int, basis: Iterable[int]) -> bool:
+def _reduce(vec: int, basis: Iterable[int]) -> int:
+    """vec with each basis pivot cleared: 0 on the span; per coset, one value if reduced."""
     for b in basis:
         vec = min(vec, vec ^ b)
-    return vec == 0
+    return vec
 
 
 @dataclass(frozen=True, order=True)
@@ -160,12 +162,16 @@ class GF2Subspace:
         return self.is_isotropic and self.dim == self.n
 
     @cached_property
-    def k(self) -> int:
-        return len(symplectic_gram_schmidt(self).hyperbolic_pairs)
+    def decomposition(self) -> "SymplecticDecomposition":
+        return symplectic_gram_schmidt(self)
 
-    @cached_property
+    @property
+    def k(self) -> int:
+        return self.decomposition.k
+
+    @property
     def m(self) -> int:
-        return len(symplectic_gram_schmidt(self).isotropic_part)
+        return self.decomposition.m
 
     def labels(self) -> tuple[WeylLabel, ...]:
         return tuple(WeylLabel(b, self.n) for b in self.basis)
@@ -181,7 +187,7 @@ class GF2Subspace:
     def contains(self, label: WeylLabel) -> bool:
         if label.n != self.n:
             raise ValidationError(f"qubit-count mismatch: {label.n} vs {self.n}")
-        return _in_span(label.bits, self.basis)
+        return _reduce(label.bits, self.basis) == 0
 
 
 def span_and_classify(generators: list[WeylLabel]) -> GF2Subspace:
@@ -265,7 +271,7 @@ def extend_to_lagrangian(V0: GF2Subspace) -> GF2Subspace:
     for cand in range(1, 1 << (2 * n)):
         if len(basis) == n:
             break
-        if _in_span(cand, basis):
+        if _reduce(cand, basis) == 0:
             continue
         if all(_form_bits(cand, b, n) == 0 for b in basis):
             basis = list(_reduce_rows(basis + [cand]))
@@ -345,9 +351,7 @@ def _symplectic_spread(k: int) -> tuple[tuple[int, ...], ...]:
 
 def isotropic_cover(V: GF2Subspace) -> list[GF2Subspace]:
     """Cover V with at most 2^k + 1 isotropic subspaces of V (k from its decomposition)."""
-    if V.dim == 0:
-        return [V]
-    dec = symplectic_gram_schmidt(V)
+    dec = V.decomposition
     if dec.k == 0:
         return [V]
     n, k = V.n, dec.k
@@ -372,6 +376,19 @@ def isotropic_cover(V: GF2Subspace) -> list[GF2Subspace]:
             raise AssertionError("spread produced a bad cover part")  # pragma: no cover
         parts.append(part)
     return parts
+
+
+def covers_exactly(V: GF2Subspace, parts: list[GF2Subspace]) -> bool:
+    """Whether the union of ``parts`` is V, without listing V's 2^dim elements.
+
+    When every part holds V's isotropic part I (seen on basis rows), the parts
+    cover V exactly when their images modulo I cover V/I, which has 4^k elements.
+    """
+    iso = [lab.bits for lab in V.decomposition.isotropic_part]
+    if any(_reduce(b, part.basis) for part in parts for b in iso):
+        return False
+    images = [GF2Subspace(_reduce_rows(_reduce(b, iso) for b in U.basis), V.n) for U in [V, *parts]]
+    return set(images[0].element_bits) == set().union(*(U.element_bits for U in images[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +452,7 @@ def random_subspace(n: int, dim: int, rng) -> GF2Subspace:
     basis: list[int] = []
     while len(basis) < dim:
         cand = int(rng.integers(1, 1 << (2 * n)))
-        if not _in_span(cand, basis):
+        if _reduce(cand, basis):
             basis = list(_reduce_rows(basis + [cand]))
     return GF2Subspace(tuple(sorted(basis, reverse=True)), n)
 

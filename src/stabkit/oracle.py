@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
 from .gf2 import LAGRANGIAN_QUBIT_CAP, GF2Subspace, WeylLabel, enumerate_lagrangians
-from .state import PureState, char_distribution, fwht, weyl_matrices
+from .state import BLOCK, PureState, char_distribution, fwht, weyl_matrices
 
 __all__ = [
     "ORACLE_QUBIT_CAP",
@@ -30,11 +30,6 @@ __all__ = [
 ]
 
 ORACLE_QUBIT_CAP = LAGRANGIAN_QUBIT_CAP
-# Lagrangians per pass of stabilizer_fidelity_exact.  At n = 4 a pass's
-# temporaries are 512 x 16 doubles = 64 KiB, under malloc's 128 KiB mmap
-# threshold, so they are reused from the heap.  Whole-table (2295 x 16)
-# temporaries would be mapped and page-faulted afresh, ~300 faults a call.
-_ORACLE_ROWS = 512
 
 
 def weyl_product_phase(x: WeylLabel, y: WeylLabel) -> tuple[WeylLabel, int]:
@@ -124,8 +119,9 @@ def stabilizer_fidelity_exact(state: PureState) -> FidelityReport:
     expect = state.expectations
     per_lagrangian = np.empty(len(subspaces))
     characters = np.empty(len(subspaces), dtype=np.intp)  # each row's first argmax
-    for lo in range(0, len(subspaces), _ORACLE_ROWS):
-        rows = slice(lo, lo + _ORACLE_ROWS)
+    step = BLOCK >> state.n  # Lagrangians per pass: a pass's tables hold BLOCK entries
+    for lo in range(0, len(subspaces), step):
+        rows = slice(lo, lo + step)
         fidelities = fwht(signs[rows] * expect[elements[rows]]) / (1 << state.n)
         characters[rows] = fidelities.argmax(axis=1)
         per_lagrangian[rows] = fidelities[np.arange(len(fidelities)), characters[rows]]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .state import PureState, char_distribution
+from .state import PureState, char_distribution, uniform_blocks
 
 __all__ = [
     "ROUND_CAP",
@@ -35,11 +35,6 @@ __all__ = [
 ROUND_CAP = 200_000_000
 # Rounds drawn per pass of estimate_gamma; every m up to it is drawn in one pass.
 _ROUND_CHUNK = 1 << 17
-# Draws per block of sample_labels' lifting and of the accept step, so their
-# uniforms and per-step temporaries stay cache-sized (64 KiB of doubles) and
-# are not count-sized arrays.  Blocks draw in stream order, so the draws equal
-# one count-sized call.
-_LIFT_BLOCK = 1 << 13
 
 
 class BellSampler:
@@ -61,9 +56,8 @@ class BellSampler:
         the running sum past 1 before the last entry, because u < 1 = cdf[-1].
         """
         labels = np.zeros(count, dtype=np.intp)
-        for lo in range(0, count, _LIFT_BLOCK):
-            idx = labels[lo : lo + _LIFT_BLOCK]
-            ub = rng.random(idx.size)
+        for block, ub in uniform_blocks(rng, count):
+            idx = labels[block]
             step = self._cdf.size >> 1
             while step:
                 idx += (self._cdf[step - 1 :][idx] <= ub) * step
@@ -77,12 +71,12 @@ class BellSampler:
         a = self.sample_labels(count, rng)
         a ^= self.sample_labels(count, rng)
         accepts = np.empty(count, dtype=np.int64)
-        for lo in range(0, count, _LIFT_BLOCK):
-            bias = self.p.values[a[lo : lo + _LIFT_BLOCK]]
+        for block, u in uniform_blocks(rng, count):
+            bias = self.p.values[a[block]]
             bias *= 1 << self.p.n  # <W_a>^2 = 2^n p(a), the per-label accept bias
             bias += 1.0
             bias *= 0.5
-            accepts[lo : lo + _LIFT_BLOCK] = rng.random(bias.size) < bias
+            accepts[block] = u < bias
         return a, accepts
 
 

@@ -10,9 +10,10 @@ once, and the scratch kept between calls is at most 1 MiB per thread (two
 float64 tables of 4^8 entries).  Freed n = 8 temporaries of 0.5-1 MiB go
 back to the operating system and are faulted in again by the next call,
 which once cost n = 8 calls a fifth to a third of their time.  So the
-expectation table is built in row blocks of 128 KiB inside the scratch, the
 convolution transforms its own output in place against the scratch, gamma
 keeps q in it, and a read-only table handed to ``DyadicTable`` is not copied.
+This module owns the block rule too: a pass over a 4^n table or a long draw
+takes ``BLOCK`` entries at a time, and its uniforms from ``uniform_blocks``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .gf2 import WeylLabel, label_batch_qubits
 __all__ = [
     "STATE_QUBIT_CAP",
     "TABLE_QUBIT_CAP",
+    "BLOCK",
+    "uniform_blocks",
     "PureState",
     "DyadicTable",
     "fwht",
@@ -54,8 +57,9 @@ TABLE_QUBIT_CAP = 8
 _NORM_TOL = 1e-12
 _HERMITICITY_TOL = 1e-10
 _PHASE_ARRAY = np.array((1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j))  # i^k, exact
-# Complex entries per row block of the expectation table (128 KiB).
-_TABLE_BLOCK = 1 << 13
+# Entries per block of a pass: 64 KiB of doubles, under malloc's 128 KiB mmap
+# threshold, so a block's temporaries are reused, not mapped and faulted afresh.
+BLOCK = 1 << 13
 
 _scratch = threading.local()
 
@@ -78,6 +82,13 @@ def _real_scratch(size: int) -> np.ndarray:
         start = -raw.ctypes.data % 64 // 8
         buf = _scratch.buf = raw[start : start + size]
     return buf[:size]
+
+
+def uniform_blocks(rng: np.random.Generator, count: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """``rng.random(count)`` as consecutive (slice, uniforms) blocks of at most BLOCK."""
+    for lo in range(0, count, BLOCK):
+        block = slice(lo, min(lo + BLOCK, count))
+        yield block, rng.random(block.stop - lo)  # in stream order, so they join to that call
 
 
 def _check_qubit_count(n: int) -> None:
@@ -321,7 +332,7 @@ def weyl_expectation_table(state: PureState) -> np.ndarray:
 
     For each X-half a, the map x2 -> sum_z (-1)^(x2.z) psi*(z^a) psi(z) is one
     Walsh-Hadamard transform, so the whole table costs O(4^n n).  The rows a
-    are independent, so they are built in blocks of 128 KiB in the scratch,
+    are independent, so they are built in blocks of BLOCK entries in the scratch,
     and each block's real part goes straight into the output, the only 4^n
     array allocated.  Every entry takes the same float operations as in one
     whole-table pass, so the bits are the same.
@@ -333,7 +344,7 @@ def weyl_expectation_table(state: PureState) -> np.ndarray:
     dim = state.dim
     xored, phase_idx = _table_indices(state.n)
     conj = np.conj(state.amplitudes)
-    rows = min(dim, _TABLE_BLOCK >> state.n)
+    rows = min(dim, BLOCK >> state.n)
     work = _real_scratch(6 * rows * dim).view(np.complex128).reshape(3, rows, dim)
     gathered, spare, phases = work  # gathered is [x1, z]
     out = np.empty(dim * dim)

@@ -126,7 +126,7 @@ def bfs_lagrangians(n: int) -> tuple[GF2Subspace, ...]:
         nxt: set[tuple[int, ...]] = set()
         for basis in level:
             for cand in range(1, 1 << (2 * n)):
-                if gf2._in_span(cand, basis):
+                if gf2._reduce(cand, basis) == 0:
                     continue
                 if any(gf2._form_bits(cand, b, n) for b in basis):
                     continue

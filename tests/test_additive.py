@@ -119,6 +119,13 @@ def test_extract_degenerate_gamma_warns_and_fails():
     assert report.size == 0  # the threshold gamma/4 > 1 empties the candidate set
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.5, float("nan"), float("inf")])
+def test_extract_needs_a_finite_positive_gamma(gamma):
+    psi = generate_state("haar", 3, seed=1)
+    with pytest.raises(ValidationError, match="gamma must be a finite number > 0"):
+        extract_nearly_linear_set(psi, gamma, np.random.default_rng(1))
+
+
 def test_sumset_doubling_examples():
     V = random_subspace(np.random.default_rng(5), 2, 2)
     S = GF2Set.from_subspace(V)

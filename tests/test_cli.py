@@ -6,12 +6,13 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stabkit import additive, cli, uncertainty
+from stabkit import additive, cli, gf2, uncertainty
 from stabkit.gf2 import WeylLabel, span_and_classify, format_subspace
 from stabkit.state import generate_state, state_to_json_dict
 
@@ -592,6 +593,59 @@ def test_cover_dim_zero_is_kept(tmp_path):
     code, payload = run_to_file(tmp_path, "c0.json", ["cover", "--n", "2", "--dim", "0", "--seed", "1"])
     assert code == 0
     assert json.loads(payload)["results"]["dim"] == 0
+
+
+def test_cover_of_a_large_commuting_subspace_stays_small(tmp_path):
+    # The union was once checked on all 2^20 elements of V (152 MB at n = 20);
+    # on V/I it has one element here, since all 20 generators commute (k = 0).
+    sub_path = tmp_path / "allz.txt"
+    sub_path.write_text("".join("0" * (20 + i) + "1" + "0" * (19 - i) + "\n" for i in range(20)))
+    tracemalloc.start()
+    try:
+        code, payload = run_to_file(tmp_path, "c.json", ["cover", "--subspace-file", str(sub_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    doc = json.loads(payload)["results"]
+    assert (doc["dim"], doc["k"], doc["part_count"], doc["union_exact"]) == (20, 0, 1, True)
+    assert peak < 10_000_000
+
+
+def test_cover_decomposes_its_subspace_once(tmp_path, monkeypatch):
+    # k, m, the cover and the union check all read one cached decomposition (once 3 runs).
+    calls = []
+    decompose = gf2.symplectic_gram_schmidt
+    monkeypatch.setattr(gf2, "symplectic_gram_schmidt", lambda V: calls.append(V) or decompose(V))
+    code, payload = run_to_file(tmp_path, "c.json", ["cover", "--n", "3", "--dim", "5", "--seed", "2"])
+    assert code == 0 and payload == (GOLDEN / "cover_n3_d5_s2.json").read_bytes()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gamma", ["0", "-0.5"])
+def test_extract_needs_a_positive_gamma(capsys, gamma):
+    # At gamma <= 0 every label counted as heavy, and the run reported success.
+    argv = ["extract", "--kind", "haar", "--n", "3", "--seed", "1", "--gamma", gamma]
+    assert cli.main(argv) == 2
+    assert "validation error: gamma must be a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["haar", "stabilizer", "t_tensor"])
+def test_noise_needs_the_noisy_kind(capsys, kind):
+    # --noise was once dropped silently for these kinds, and echoed in the report's config.
+    assert cli.main(["gamma", "--kind", kind, "--n", "2", "--exact", "--seed", "1", "--noise", "0.7"]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "--noise" in err and f"--kind {kind}" in err
+
+
+def test_bsg_on_a_set_with_closure_probability_0(tmp_path, capsys):
+    # Without --eps the search runs at the set's closure probability; the
+    # message once named an eps of 0.0 that was never given.
+    set_path = tmp_path / "s.txt"
+    set_path.write_text("1000\n")
+    assert cli.main(["bsg", "--set-file", str(set_path), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "the set's closure probability, the default eps, must be in (0,1], got 0.0" in err
 
 
 @pytest.mark.parametrize("seed", ["2", "3"])

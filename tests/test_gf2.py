@@ -13,6 +13,7 @@ from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import (
     GF2Subspace,
     WeylLabel,
+    covers_exactly,
     enumerate_lagrangians,
     enumerate_subspaces,
     extend_to_lagrangian,
@@ -204,6 +205,26 @@ def test_isotropic_cover_random_large_ambient():
                 assert set(part.element_bits) <= members
                 covered |= set(part.element_bits)
             assert covered == members
+            assert covers_exactly(V, parts)
+
+
+def test_covers_exactly_rejects_what_is_not_a_cover():
+    V = span_and_classify(
+        [WeylLabel.from_string(t) for t in ("100000", "000100", "010000", "000010", "001000")]
+    )
+    parts = isotropic_cover(V)  # k = 2, m = 1: five parts
+    assert covers_exactly(V, parts)
+    assert not covers_exactly(V, parts[1:])  # a spread member's own elements go uncovered
+    # Complements of the isotropic part I = <001000> in each part have the
+    # same images in V/I as the parts, but miss I itself.
+    i = V.decomposition.isotropic_part[0]
+    assert i == WeylLabel.from_string("001000")
+    complements = [span_and_classify([WeylLabel(min(b, b ^ i.bits), V.n) for b in part.basis])
+                   for part in parts]
+    assert not any(part.contains(i) for part in complements)
+    assert not covers_exactly(V, complements)
+    outside = span_and_classify(parts[0].labels() + (WeylLabel.from_string("000001"),))
+    assert not covers_exactly(V, [outside] + parts[1:])  # a part must lie in V
 
 
 def test_symplectic_spread_table_full_range():

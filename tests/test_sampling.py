@@ -10,13 +10,12 @@ import pytest
 from conftest import graph_state
 from stabkit.errors import ValidationError
 from stabkit.sampling import (
-    _LIFT_BLOCK,
     BellSampler,
     estimate_gamma,
     plan_test,
     run_tolerant_test,
 )
-from stabkit.state import PureState, generate_state
+from stabkit.state import BLOCK, PureState, generate_state
 
 # chi^2 critical value at significance 0.01 for 3 degrees of freedom.
 CHI2_CRIT_DF3 = 11.345
@@ -172,7 +171,7 @@ def test_sample_labels_equal_searchsorted(kind):
             [below, np.nextafter(below, 0.0), [0.0, np.nextafter(1.0, 0.0)], rng.random(1000)]
         )
         _assert_labels_are_searchsorted(sampler, u)
-    assert u.size > 2 * _LIFT_BLOCK  # the n = 8 draws span several lifting blocks
+    assert u.size > 2 * BLOCK  # the n = 8 draws span several lifting blocks
 
 
 def test_sample_labels_equal_searchsorted_when_the_sum_passes_one_early():

@@ -23,6 +23,7 @@ from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import WeylLabel
 from stabkit.oracle import stabilizer_fidelity_exact
 from stabkit.state import (
+    BLOCK,
     TABLE_QUBIT_CAP,
     DyadicTable,
     PureState,
@@ -35,6 +36,7 @@ from stabkit.state import (
     pad_with_zeros,
     state_from_json_dict,
     state_to_json_dict,
+    uniform_blocks,
     weyl_distribution,
     weyl_expectation,
     weyl_expectation_table,
@@ -377,6 +379,16 @@ def test_threads_each_get_their_own_scratch():
         sys.setswitchinterval(interval)
     for i, values in enumerate(got):
         assert_bit_identical(values, want[i % len(vectors)])
+
+
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_uniform_blocks_join_to_one_draw(count):
+    blocks = list(uniform_blocks(np.random.default_rng(3), count))
+    assert all(0 < u.size <= BLOCK and u.size == b.stop - b.start for b, u in blocks)
+    bounds = [0] + [b.stop for b, _ in blocks]
+    assert [b.start for b, _ in blocks] == bounds[:-1] and bounds[-1] == count
+    joined = np.concatenate([np.empty(0)] + [u for _, u in blocks])
+    assert_bit_identical(joined, np.random.default_rng(3).random(count))
 
 
 def test_expectation_table_peak_memory_at_n8():
