@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .gf2 import GF2Subspace, WeylLabel, enumerate_subspaces, parse_labels
-from .state import (TABLE_QUBIT_CAP, DyadicTable, PureState, char_distribution,
+from .gf2 import GF2Subspace, WeylLabel, _reduce, enumerate_subspaces, parse_labels
+from .state import (BLOCK, TABLE_QUBIT_CAP, DyadicTable, PureState, char_distribution,
                     dyadic_self_convolution, gamma_exact, uniform_blocks)
 
 __all__ = [
@@ -63,7 +63,10 @@ class GF2Set:
     def from_indices(cls, indices, n: int) -> "GF2Set":
         check_set_qubits(n)
         mem = np.zeros(1 << (2 * n), dtype=bool)
-        mem[np.asarray(list(indices), dtype=np.int64)] = True
+        idx = np.asarray(list(indices))
+        if idx.size and not (idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < mem.size):
+            raise ValidationError(f"set members must be integers in [0, {mem.size}) for n={n}")
+        mem[idx.astype(np.int64)] = True
         return cls(mem, n)
 
     @classmethod
@@ -224,14 +227,16 @@ def bsg_extract(
     for trial in range(1, trials + 1):
         z = int(member_idx[rng.integers(size)])
         b_idx = member_idx[S.members[member_idx ^ z]]  # B = S n (S+Z), ascending
-        edges = heavy_pair[b_idx[:, None] ^ b_idx[None, :]]
-        degrees = edges.sum(axis=1)
+        degrees = np.empty(b_idx.size, dtype=np.int64)
+        rows = max(1, BLOCK // max(b_idx.size, 1))  # a block's pair table holds <= BLOCK entries
+        for lo in range(0, b_idx.size, rows):
+            degrees[lo : lo + rows] = heavy_pair[b_idx[lo : lo + rows, None] ^ b_idx].sum(axis=1)
         keep = degrees >= _DEGREE_FRACTION * b_idx.size
         s_prime_idx = b_idx[keep]
         stats = {
             "trial": trial,
             "b_size": int(b_idx.size),
-            "edge_density": float(edges.mean()) if b_idx.size else 0.0,
+            "edge_density": float(degrees.sum() / b_idx.size**2) if b_idx.size else 0.0,
             "degree_histogram": np.bincount(degrees).tolist(),
             "s_prime_size": int(s_prime_idx.size),
         }
@@ -245,14 +250,6 @@ def bsg_extract(
         if best is None or candidate.stats["s_prime_size"] > best.stats["s_prime_size"]:
             best = candidate
     return best
-
-
-def _coset_keys(indices: np.ndarray, basis: tuple[int, ...]) -> np.ndarray:
-    """One key per coset of span(basis): each index with the basis pivots cleared."""
-    keys = indices
-    for row in basis:
-        keys = np.where(keys & (1 << (row.bit_length() - 1)), keys ^ row, keys)
-    return keys
 
 
 def brute_force_subspace_cover(S: GF2Set, doubling: float | None = None) -> dict:
@@ -277,7 +274,7 @@ def brute_force_subspace_cover(S: GF2Set, doubling: float | None = None) -> dict
     for basis in enumerate_subspaces(2 * S.n):
         if 1 << len(basis) > size:
             continue
-        translate_count = int(np.unique(_coset_keys(member_idx, basis)).size)
+        translate_count = int(np.unique(_reduce(member_idx, basis)).size)
         ranking = (translate_count, -len(basis), basis)
         if best is None or ranking < best:
             best = ranking
@@ -302,11 +299,9 @@ def find_heavy_translate(S: GF2Set, V: GF2Subspace) -> dict:
     member_idx = S.indices()
     if member_idx.size == 0:
         raise ValidationError("set must be nonempty")
-    uniq, counts = np.unique(_coset_keys(member_idx, V.basis), return_counts=True)
-    order = np.argmax(counts)
-    best_key, overlap = int(uniq[order]), int(counts[order])
-    rep = min(best_key ^ v for v in V.element_bits)
-    return {"coset_rep": WeylLabel(rep, V.n), "overlap": overlap}
+    keys, counts = np.unique(_reduce(member_idx, V.basis), return_counts=True)  # coset minima
+    best = np.argmax(counts)
+    return {"coset_rep": WeylLabel(int(keys[best]), V.n), "overlap": int(counts[best])}
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,8 @@ def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
         count = _get(cfg, "random_labels", 8)
         if not 0 <= count <= 1 << (2 * psi.n):
             raise ValidationError(f"cannot draw {count} distinct labels at n={psi.n}")
+        uncertainty.check_hamiltonian_qubits(psi.n)  # the certificate's caps, before any draw
+        graphs.check_theta_order(count)
         picks = rng.choice(1 << (2 * psi.n), size=count, replace=False)
         labels = [gf2.WeylLabel(int(b), psi.n) for b in picks]
     cert = uncertainty.uncertainty_certificate(

@@ -5,13 +5,16 @@ single int with x1 in the low n bits and x2 in the high n bits.  The
 lexicographic (numeric) order on this packing fixes every "choose an
 element" step, so all constructions here are deterministic.
 
-Subspaces carry a canonical reduced basis (pivot = highest set bit, rows
-strictly decreasing), which makes them hashable and comparable.
+Subspaces are canonical by construction: ``GF2Subspace`` takes any spanning
+rows and stores their reduced basis (pivot = highest set bit, cleared from
+every other row; rows strictly decreasing), so equal spans compare equal.
+``_reduce`` is the one pivot-clearing step, on ints and int64 arrays alike.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
@@ -114,33 +117,45 @@ def _form_bits(a: int, b: int, n: int) -> int:
     return v.bit_count() & 1
 
 
+def _reduce(vec, basis: Iterable[int]):
+    """vec with each basis pivot cleared, for an int or an int64 array of them.
+
+    On a reduced basis this is 0 on the span and, per coset, its smallest member.
+    """
+    for b in basis:
+        vec = vec ^ ((vec >> (b.bit_length() - 1)) & 1) * b
+    return vec
+
+
 def _reduce_rows(rows: Iterable[int]) -> tuple[int, ...]:
     """Canonical reduced basis: pivots are highest set bits, rows descending."""
     basis: list[int] = []
     for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            # Re-eliminate the new pivot from earlier rows.
-            for i, b in enumerate(basis[:-1]):
-                basis[i] = min(b, b ^ row)
+        row = _reduce(row, basis)
+        if row:  # clear the new pivot from the earlier rows
+            basis = [_reduce(b, (row,)) for b in basis] + [row]
     return tuple(sorted(basis, reverse=True))
-
-
-def _reduce(vec: int, basis: Iterable[int]) -> int:
-    """vec with each basis pivot cleared: 0 on the span; per coset, one value if reduced."""
-    for b in basis:
-        vec = min(vec, vec ^ b)
-    return vec
 
 
 @dataclass(frozen=True, order=True)
 class GF2Subspace:
-    """A subspace of F2^(2n) held as its canonical reduced basis."""
+    """A subspace of F2^(2n), spanned by the given rows and held as their canonical basis."""
 
     basis: tuple[int, ...]
     n: int
+
+    def __post_init__(self):
+        try:
+            n = operator.index(self.n)
+            rows = list(map(operator.index, self.basis))
+        except TypeError:
+            raise ValidationError("subspace rows and qubit count must be integers") from None
+        if n < 1:
+            raise ValidationError(f"qubit count must be >= 1, got {n}")
+        if rows and not (0 <= min(rows) and max(rows) < 1 << (2 * n)):
+            raise ValidationError(f"subspace rows out of [0, 4^n) for n={n}: {min(rows)}..{max(rows)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", _reduce_rows(rows))
 
     @property
     def dim(self) -> int:
@@ -197,7 +212,7 @@ def span_and_classify(generators: list[WeylLabel]) -> GF2Subspace:
     available as cached properties on the result.
     """
     n = label_batch_qubits(generators)
-    return GF2Subspace(_reduce_rows(g.bits for g in generators), n)
+    return GF2Subspace([g.bits for g in generators], n)
 
 
 @dataclass(frozen=True)
@@ -225,7 +240,7 @@ class SymplecticDecomposition:
 def symplectic_gram_schmidt(V: GF2Subspace) -> SymplecticDecomposition:
     """Split V into k hyperbolic pairs and m commuting generators (2k+m = dim V)."""
     n = V.n
-    rows = list(V.basis)
+    rows = V.basis
     pairs: list[tuple[int, int]] = []
     while True:
         hit = next(
@@ -251,13 +266,12 @@ def symplectic_gram_schmidt(V: GF2Subspace) -> SymplecticDecomposition:
             if _form_bits(w, z, n):
                 w ^= x
             rest.append(w)
-        rows = list(_reduce_rows(rest))
-    iso = _reduce_rows(rows)
-    if 2 * len(pairs) + len(iso) != V.dim:
+        rows = _reduce_rows(rest)
+    if 2 * len(pairs) + len(rows) != V.dim:
         raise AssertionError("decomposition lost rank")  # pragma: no cover
     return SymplecticDecomposition(
         tuple((WeylLabel(z, n), WeylLabel(x, n)) for z, x in pairs),
-        tuple(WeylLabel(b, n) for b in iso),
+        tuple(WeylLabel(b, n) for b in rows),
         n,
     )
 
@@ -266,19 +280,15 @@ def extend_to_lagrangian(V0: GF2Subspace) -> GF2Subspace:
     """Smallest-label greedy extension of an isotropic subspace to a Lagrangian."""
     if not V0.is_isotropic:
         raise ValidationError("subspace is not isotropic")
-    n = V0.n
-    basis = list(V0.basis)
-    for cand in range(1, 1 << (2 * n)):
-        if len(basis) == n:
+    V = V0
+    for cand in range(1, 1 << (2 * V.n)):
+        if V.dim == V.n:
             break
-        if _reduce(cand, basis) == 0:
-            continue
-        if all(_form_bits(cand, b, n) == 0 for b in basis):
-            basis = list(_reduce_rows(basis + [cand]))
-    result = GF2Subspace(_reduce_rows(basis), n)
-    if not result.is_lagrangian:
+        if _reduce(cand, V.basis) and all(_form_bits(cand, b, V.n) == 0 for b in V.basis):
+            V = GF2Subspace(V.basis + (cand,), V.n)
+    if not V.is_lagrangian:
         raise AssertionError("greedy extension fell short")  # pragma: no cover
-    return result
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +380,7 @@ def isotropic_cover(V: GF2Subspace) -> list[GF2Subspace]:
 
     parts = []
     for member in _symplectic_spread(k):
-        rows = [embed(v) for v in member] + iso
-        part = GF2Subspace(_reduce_rows(rows), n)
+        part = GF2Subspace([embed(v) for v in member] + iso, n)
         if not part.is_isotropic or part.dim != k + dec.m:
             raise AssertionError("spread produced a bad cover part")  # pragma: no cover
         parts.append(part)
@@ -387,7 +396,7 @@ def covers_exactly(V: GF2Subspace, parts: list[GF2Subspace]) -> bool:
     iso = [lab.bits for lab in V.decomposition.isotropic_part]
     if any(_reduce(b, part.basis) for part in parts for b in iso):
         return False
-    images = [GF2Subspace(_reduce_rows(_reduce(b, iso) for b in U.basis), V.n) for U in [V, *parts]]
+    images = [GF2Subspace([_reduce(b, iso) for b in U.basis], V.n) for U in [V, *parts]]
     return set(images[0].element_bits) == set().union(*(U.element_bits for U in images[1:]))
 
 
@@ -449,17 +458,15 @@ def random_subspace(n: int, dim: int, rng) -> GF2Subspace:
         raise ValidationError(f"dimension {dim} out of range for 2n={2 * n}")
     if n > RANDOM_QUBIT_CAP:
         raise CapExceededError(f"random subspaces capped at n={RANDOM_QUBIT_CAP}, got {n}")
-    basis: list[int] = []
-    while len(basis) < dim:
-        cand = int(rng.integers(1, 1 << (2 * n)))
-        if _reduce(cand, basis):
-            basis = list(_reduce_rows(basis + [cand]))
-    return GF2Subspace(tuple(sorted(basis, reverse=True)), n)
+    V = GF2Subspace((), n)
+    while V.dim < dim:
+        V = GF2Subspace(V.basis + (int(rng.integers(1, 1 << (2 * n))),), n)
+    return V
 
 
 @lru_cache(maxsize=None)
 def _lagrangian_list(n: int) -> tuple[GF2Subspace, ...]:
-    bases = []
+    subspaces = []
     for d in range(n + 1):
         sym_slots = [(i, j) for j in range(d) for i in range(j + 1)]
         for a_rows in enumerate_subspaces(n, d):
@@ -477,8 +484,8 @@ def _lagrangian_list(n: int) -> tuple[GF2Subspace, ...]:
                         x2[j] |= 1 << pivots[i]
                         x2[i] |= 1 << pivots[j]
                 rows = [a | (s << n) for a, s in zip(a_rows, x2)]
-                bases.append(_reduce_rows(rows + zero_x1))
-    return tuple(GF2Subspace(b, n) for b in sorted(bases))
+                subspaces.append(GF2Subspace(rows + zero_x1, n))
+    return tuple(sorted(subspaces, key=operator.attrgetter("basis")))
 
 
 # ---------------------------------------------------------------------------

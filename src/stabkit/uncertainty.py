@@ -24,6 +24,7 @@ __all__ = [
     "HAMILTONIAN_QUBIT_CAP",
     "HamiltonianSpec",
     "UncertaintyCertificate",
+    "check_hamiltonian_qubits",
     "hamiltonian_norm_sq",
     "psi0_lower_bound",
     "uncertainty_certificate",
@@ -38,14 +39,19 @@ _ASCENT_TOL = 1e-12
 _ASCENT_MAX_STEPS = 500
 
 
-def _check_labels(labels: list[WeylLabel]) -> int:
-    n = label_batch_qubits(labels)
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate labels")
+def check_hamiltonian_qubits(n: int) -> None:
+    """Refuse n above HAMILTONIAN_QUBIT_CAP, whose dense 2^n x 2^n matrices are not built."""
     if n > HAMILTONIAN_QUBIT_CAP:
         raise CapExceededError(
             f"dense Hamiltonians capped at n={HAMILTONIAN_QUBIT_CAP}, got {n}"
         )
+
+
+def _check_labels(labels: list[WeylLabel]) -> int:
+    n = label_batch_qubits(labels)
+    if len(set(labels)) != len(labels):
+        raise ValidationError("duplicate labels")
+    check_hamiltonian_qubits(n)
     return n
 
 

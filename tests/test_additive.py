@@ -22,7 +22,7 @@ from stabkit.additive import (
     sumset_doubling,
 )
 from stabkit.errors import ValidationError
-from stabkit.gf2 import WeylLabel, span_and_classify
+from stabkit.gf2 import GF2Subspace, WeylLabel, span_and_classify
 from stabkit.state import gamma_exact, generate_state
 
 
@@ -202,6 +202,21 @@ def test_bsg_threshold_overrides_change_selection():
     assert strict.succeeded and strict.s_prime.size == S.size
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bsg_degrees_match_the_pair_table(seed):
+    # Degrees are summed in row blocks; |B| of about 350 here takes 16 blocks.
+    rng = np.random.default_rng(seed)
+    S = GF2Set.from_indices(rng.choice(1024, size=600, replace=False), 5)
+    res = bsg_extract(S, 0.3, rng, trials=1)
+    members = S.indices()
+    b_idx = members[S.members[members ^ res.z_used.bits]]
+    r = representation_counts(S)["r"].values
+    edges = (r >= 0.3 * 0.3 * S.size / 16.0)[b_idx[:, None] ^ b_idx[None, :]]
+    assert res.stats["b_size"] == b_idx.size > 300
+    assert res.stats["edge_density"] == float(edges.mean())
+    assert res.stats["degree_histogram"] == np.bincount(edges.sum(axis=1)).tolist()
+
+
 def test_brute_force_subspace_cover():
     from stabkit.additive import brute_force_subspace_cover
     from stabkit.errors import CapExceededError
@@ -250,6 +265,30 @@ def test_find_heavy_translate_against_coset_scan():
         assert res["overlap"] == best
         cosets = 64 // V.size
         assert res["overlap"] >= -(-S.size // cosets)  # pigeonhole ceiling
+
+
+def test_find_heavy_translate_with_a_non_canonical_basis():
+    # Rows given as (1, 3) once left the coset keys unreduced: overlap 2, not 4.
+    res = find_heavy_translate(GF2Set.from_indices(range(4), 2), GF2Subspace((1, 3), 2))
+    assert (res["coset_rep"].bits, res["overlap"]) == (0, 4)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        rows = [int(r) for r in rng.integers(0, 64, size=int(rng.integers(1, 5)))]
+        V = GF2Subspace(rows, 3)
+        S = GF2Set.from_indices(rng.choice(64, size=int(rng.integers(1, 30)), replace=False), 3)
+        members = set(S.indices().tolist())
+        overlaps = [len(members & {rep ^ v for v in V.element_bits}) for rep in range(64)]
+        res = find_heavy_translate(S, V)
+        assert res["overlap"] == max(overlaps)
+        assert res["coset_rep"].bits == overlaps.index(max(overlaps))  # smallest representative
+
+
+@pytest.mark.parametrize("indices", [[-1], [16], [1.5], [0, 3, 2.0]],
+                         ids=["negative", "above-4^n", "float", "mixed"])
+def test_from_indices_rejects_what_is_not_a_member(indices):
+    # -1 once set entry 15, and 16 ended in an IndexError traceback.
+    with pytest.raises(ValidationError, match="integers in \\[0, 16\\)"):
+        GF2Set.from_indices(indices, 2)
 
 
 def test_set_text_roundtrip():

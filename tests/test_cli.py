@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -661,6 +662,35 @@ def test_bsg_all_trials_with_empty_b(tmp_path, seed):
     assert doc["succeeded"] is False
     assert doc["z_used"] == "0010"
     assert doc["stats"]["b_size"] == 0 and doc["s_prime_size"] == 0
+
+
+def test_bsg_on_the_full_space_stays_small(tmp_path):
+    # Degrees were once read off a |B| x |B| pair table: 4096^2 entries here, a 179 MB peak.
+    argv = ["bsg", "--n", "6", "--subspace-dim", "12", "--trials", "1", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        code, payload = run_to_file(tmp_path, "b.json", argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert hashlib.sha256(payload).hexdigest() == (  # the bytes of the pair-table version
+        "c9fbfcf053c11f69d689d35561f6caa0b120939f1c10402118e3bfcb253c52c6")
+    assert peak < 20_000_000
+
+
+def test_uncertainty_checks_its_caps_before_drawing(capsys):
+    # 400,000 labels at n = 10 were all drawn and wrapped before the n cap fired (121 MB).
+    argv = ["uncertainty", "--kind", "haar", "--n", "10", "--random-labels", "400000", "--seed", "1"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "dense Hamiltonians capped at n=6, got 10" in capsys.readouterr().err
+    assert peak < 10_000_000
 
 
 def test_bsg_convolves_its_set_once(tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from stabkit.gf2 import (
     symplectic_gram_schmidt,
 )
 from stabkit.graphs import anticommutation_graph
+from stabkit.oracle import lagrangian_mass
 from stabkit.state import generate_state, weyl_matrices
 from stabkit.uncertainty import HamiltonianSpec, psi0_lower_bound, uncertainty_certificate
 
@@ -88,6 +89,31 @@ def test_span_degenerate_and_errors():
         span_and_classify([])
     with pytest.raises(ValidationError):
         span_and_classify([X1, WeylLabel(0, 2)])
+
+
+def test_subspace_is_canonical_by_construction():
+    # Rows were once stored as given: (1, 1) read as a 2-dim Lagrangian of mass 0.697.
+    V = GF2Subspace((1, 1), 2)
+    assert (V.basis, V.dim, V.is_lagrangian) == ((1,), 1, False)
+    assert V.element_bits == (0, 1)
+    with pytest.raises(ValidationError, match="not Lagrangian"):
+        lagrangian_mass(generate_state("haar", 2, 3), V)
+    # (1, 3) was unequal to its canonical twin (2, 1) and did not contain 0b10.
+    W = GF2Subspace((1, 3), 2)
+    assert W == GF2Subspace((2, 1), 2) and W.basis == (2, 1)
+    assert W.contains(WeylLabel(0b10, 2))
+    assert symplectic_gram_schmidt(GF2Subspace((3, 1, 2), 1)).k == 1
+    assert GF2Subspace((np.int64(5),), 2).basis == (5,)
+
+
+@pytest.mark.parametrize(
+    "rows, n",
+    [((16,), 2), ((-1,), 2), ((1.0,), 2), ((np.float64(3),), 2), ((1,), 0), ((1,), 1.5)],
+    ids=["above-4^n", "negative", "float", "numpy-float", "n-zero", "n-float"],
+)
+def test_subspace_rows_are_checked_at_construction(rows, n):
+    with pytest.raises(ValidationError):
+        GF2Subspace(rows, n)
 
 
 def test_gram_schmidt_examples():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import fixed_point_round
 from stabkit import graphs
-from stabkit.gf2 import WeylLabel, _reduce_rows, isotropic_cover, random_subspace, symplectic_form
+from stabkit.gf2 import (GF2Subspace, WeylLabel, _reduce, _reduce_rows, isotropic_cover,
+                         random_subspace, symplectic_form)
 from stabkit.graphs import SimpleGraph, lovasz_theta
 from stabkit.sampling import BellSampler
 from stabkit.state import fwht, generate_state, weyl_distribution, weyl_expectation
@@ -49,12 +51,27 @@ def test_symplectic_form_is_bilinear_and_alternating(triple):
 @PROPERTY
 @given(st.integers(1, 12).flatmap(
     lambda bits: st.lists(st.integers(0, (1 << bits) - 1), max_size=8)), st.randoms())
+@example([1, 3, 0, 2, 3], random.Random(0))  # dependent, zero and unsorted rows
 def test_reduce_rows_is_idempotent_and_order_free(rows, rnd):
     basis = _reduce_rows(rows)
     assert _reduce_rows(basis) == basis
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     assert _reduce_rows(shuffled) == basis
+    # Any spanning rows give the canonical subspace: the span, each member once.
+    n = max(1, -(-max(rows, default=0).bit_length() // 2))
+    V = GF2Subspace(rows, n)
+    assert V.basis == basis and V == GF2Subspace(shuffled, n)
+    span = {0}
+    for row in rows:
+        span |= {e ^ row for e in span}
+    assert len(set(V.element_bits)) == len(V.element_bits) == 1 << V.dim == len(span)
+    assert set(V.element_bits) == span
+    # One pivot reduction serves ints and int64 arrays: 0 exactly on the span.
+    vecs = np.arange(1 << (2 * n), dtype=np.int64)
+    keys = _reduce(vecs, V.basis)
+    assert keys.tolist() == [_reduce(int(v), V.basis) for v in vecs]
+    assert {int(v) for v in vecs[keys == 0]} == span
 
 
 @PROPERTY
