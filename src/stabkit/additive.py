@@ -1,6 +1,12 @@
 """Additive combinatorics over F2^(2n): representation counts, nearly-linear
 set extraction, sumsets and doubling, constructive BSG, heavy translates.
 
+Representation counts r(x) = #{(a, b) in S^2 : a + b = x} have two exact
+routes with the same bits: a small set (|S|^2 <= 4^(n+1)) counts the sum of
+every pair, a larger one takes the dyadic self-convolution of its indicator
+through the Walsh-Hadamard transform.  The switch sits below the measured
+crossover (|S|^2 about 6-8 x 4^n at n = 7, 8); see ``representation_counts``.
+
 The existence arguments behind the extraction and BSG steps are
 probabilistic, so both are realized as retry loops with caps and explicit
 success flags: at desk scale the stated size conditions may simply not
@@ -16,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .gf2 import GF2Subspace, WeylLabel, _reduce, enumerate_subspaces, parse_labels
+from .gf2 import (GF2Subspace, WeylLabel, _reduce, enumerate_subspaces, format_label_bits,
+                  parse_label_bits)
 from .state import (BLOCK, TABLE_QUBIT_CAP, DyadicTable, PureState, char_distribution,
                     dyadic_self_convolution, gamma_exact, uniform_blocks)
 
@@ -63,10 +70,10 @@ class GF2Set:
     def from_indices(cls, indices, n: int) -> "GF2Set":
         check_set_qubits(n)
         mem = np.zeros(1 << (2 * n), dtype=bool)
-        idx = np.asarray(list(indices))
+        idx = indices if isinstance(indices, np.ndarray) else np.asarray(list(indices))
         if idx.size and not (idx.dtype.kind in "iu" and 0 <= idx.min() and idx.max() < mem.size):
             raise ValidationError(f"set members must be integers in [0, {mem.size}) for n={n}")
-        mem[idx.astype(np.int64)] = True
+        mem[idx.astype(np.intp, copy=False)] = True
         return cls(mem, n)
 
     @classmethod
@@ -80,22 +87,25 @@ class GF2Set:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.members)
 
-    def labels(self) -> list[WeylLabel]:
-        return [WeylLabel(int(b), self.n) for b in self.indices()]
-
 
 def representation_counts(S: GF2Set) -> dict:
     """r(x) = #{(a,b) in S^2 : a+b = x} plus closure probability and energy.
 
-    The count table is the dyadic self-convolution of the indicator,
-    computed through the Walsh-Hadamard transform in O(4^n n); entries are
-    exact integers well inside float64 range.
+    Two exact routes give the count table.  When |S|^2 <= 4^(n+1), the sum of
+    every pair is counted directly (``_pair_counts``, O(|S|^2)); a larger set
+    takes the dyadic self-convolution of its indicator through the
+    Walsh-Hadamard transform (``_transform_counts``, O(4^n n)).  At the switch
+    the pairs take 0.25-0.6 of the transform's time for n = 3..8 (1.0 against
+    1.7 ms at n = 8, one core, numpy 2.4); the two cost the same near
+    |S|^2 = 6-8 x 4^n at n = 7 and 8, and further out at smaller n.  For a 0/1
+    indicator at n <= 8 every value inside the transform is an integer below
+    2^53, so both routes give the same bits, and so do the closure
+    probability and energy read off them.
     """
     size = S.size
     if size < 1:
         raise ValidationError("set must be nonempty")
-    r = dyadic_self_convolution(S.members)
-    np.rint(r, out=r)
+    r = (_pair_counts if size * size <= 4 * S.members.size else _transform_counts)(S)
     closure = float(r[S.members].sum() / (size * size))
     energy = int(np.dot(r, r))
     r.setflags(write=False)
@@ -104,6 +114,22 @@ def representation_counts(S: GF2Set) -> dict:
         "closure_prob": closure,
         "additive_energy": energy,
     }
+
+
+def _pair_counts(S: GF2Set) -> np.ndarray:
+    """r by counting a ^ b over all pairs of members, in row blocks of <= BLOCK pairs."""
+    members = S.indices()
+    r = np.zeros(S.members.size)
+    rows = max(1, BLOCK // members.size)
+    for lo in range(0, members.size, rows):
+        np.add.at(r, members[lo : lo + rows, None] ^ members, 1.0)
+    return r
+
+
+def _transform_counts(S: GF2Set) -> np.ndarray:
+    """r as the dyadic self-convolution of the indicator of S."""
+    r = dyadic_self_convolution(S.members)
+    return np.rint(r, out=r)
 
 
 @dataclass(frozen=True)
@@ -305,14 +331,13 @@ def find_heavy_translate(S: GF2Set, V: GF2Subspace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Text format: one member per line as a 2n-character 0/1 string.
+# Text format: one member per line as a 2n-character 0/1 string (gf2's label text).
 # ---------------------------------------------------------------------------
 
 
 def parse_set(text: str) -> GF2Set:
-    labels = parse_labels(text)
-    return GF2Set.from_indices([lab.bits for lab in labels], labels[0].n)
+    return GF2Set.from_indices(*parse_label_bits(text))
 
 
 def format_set(S: GF2Set) -> str:
-    return "".join(lab.to_string() + "\n" for lab in S.labels())
+    return format_label_bits(S.indices(), S.n)

@@ -191,6 +191,11 @@ def _load_state(cfg: dict, rng: np.random.Generator | None = None) -> state.Pure
     )
 
 
+def _label_list(bits, n: int) -> list[str]:
+    """Packed labels as the report's list of label strings."""
+    return gf2.format_label_bits(bits, n).splitlines()
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -235,7 +240,7 @@ def _cmd_fidelity(cfg: dict) -> tuple[dict, dict]:
     best = report.argmax_lagrangian
     return {
         "f_s": report.f_s,
-        "argmax_lagrangian": [lab.to_string() for lab in best.labels()],
+        "argmax_lagrangian": _label_list(best.basis, best.n),
         "argmax_character": report.argmax_character,
         "n": psi.n,
     }, {}
@@ -352,7 +357,7 @@ def _cmd_extract(cfg: dict) -> tuple[dict, dict]:
         "closure_prob": report.closure_prob,
         "succeeded": report.succeeded,
         "retries_used": report.retries_used,
-        "members": [lab.to_string() for lab in report.set.labels()],
+        "members": _label_list(report.set.indices(), psi.n),
     }, {}
 
 
@@ -379,13 +384,13 @@ def _cmd_bsg(cfg: dict) -> tuple[dict, dict]:
         "succeeded": result.succeeded,
         "z_used": result.z_used.to_string(),
         "s_prime_size": result.s_prime.size,
-        "s_prime": [lab.to_string() for lab in result.s_prime.labels()],
+        "s_prime": _label_list(result.s_prime.indices(), S.n),
         "stats": result.stats,
     }
     if cfg["pfr_search"] and result.s_prime.size:
         cover = additive.brute_force_subspace_cover(result.s_prime, result.stats["doubling"])
         payload["pfr_search"] = {
-            "subspace": [lab.to_string() for lab in cover["subspace"].labels()],
+            "subspace": _label_list(cover["subspace"].basis, S.n),
             "translate_count": cover["translate_count"],
             "doubling": cover["doubling"],
             "translate_bound": cover["translate_bound"],
@@ -413,7 +418,7 @@ def _cmd_cover(cfg: dict) -> tuple[dict, dict]:
         "part_count": len(parts),
         "bound": (1 << V.k) + 1,
         "union_exact": union_exact,
-        "parts": [[lab.to_string() for lab in part.labels()] for part in parts],
+        "parts": [_label_list(part.basis, V.n) for part in parts],
     }, {}
 
 

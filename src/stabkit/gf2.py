@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import CapExceededError, ValidationError
 
 __all__ = [
@@ -37,6 +39,8 @@ __all__ = [
     "enumerate_lagrangians",
     "enumerate_subspaces",
     "random_subspace",
+    "parse_label_bits",
+    "format_label_bits",
     "parse_labels",
     "parse_subspace",
     "format_subspace",
@@ -44,7 +48,8 @@ __all__ = [
 
 # Largest n whose Lagrangians are enumerated (and so the exact oracle's cap).
 LAGRANGIAN_QUBIT_CAP = 4
-# Largest n whose labels rng.integers can draw: 2n bits must fit in an int64.
+# Largest n whose labels fit in an int64 (2n bits): rng.integers draws them,
+# and the label text is read and written as int64 arrays.
 RANDOM_QUBIT_CAP = 31
 
 
@@ -81,14 +86,14 @@ class WeylLabel:
 
     @classmethod
     def from_string(cls, text: str) -> "WeylLabel":
-        """Parse a 2n-character 0/1 string, x1 half first, leftmost char = qubit 0."""
-        text = text.strip()
-        if len(text) % 2 or not text or set(text) - {"0", "1"}:
-            raise ValidationError(f"not a 2n-character 0/1 string: {text!r}")
-        return cls(int(text[::-1], 2), len(text) // 2)
+        """Parse one line of label text (``parse_label_bits``)."""
+        bits, n = parse_label_bits(text)
+        if bits.size != 1:
+            raise ValidationError(f"need one label, got {bits.size}: {text!r}")
+        return cls(int(bits[0]), n)
 
     def to_string(self) -> str:
-        return format(self.bits, f"0{2 * self.n}b")[::-1]
+        return format_label_bits((self.bits,), self.n)[:-1]
 
     def __xor__(self, other: "WeylLabel") -> "WeylLabel":
         if self.n != other.n:
@@ -489,15 +494,60 @@ def _lagrangian_list(n: int) -> tuple[GF2Subspace, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Text format: one label per line as a 2n-character 0/1 string.
+# Text format: one label per line as a 2n-character 0/1 string, x1 half
+# first, leftmost character = qubit 0.  parse_label_bits and
+# format_label_bits are its one reader and one writer.
 # ---------------------------------------------------------------------------
+
+
+def parse_label_bits(text: str) -> tuple[np.ndarray, int]:
+    """The packed labels of a label text as an int64 array in line order, and their n.
+
+    Lines are stripped and blank ones skipped; every other line must be a label
+    on the same n.  A malformed line raises ``ValidationError`` naming it; n
+    above RANDOM_QUBIT_CAP raises ``CapExceededError``.
+    """
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    widths = set(map(len, lines))
+    # One byte per character, "?" for a non-ASCII one; below "0" wraps above 1.
+    digits = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if any(width % 2 for width in widths) or (digits > 1).any():
+        k, line = _first_line(text, lambda line: len(line) % 2 or line.strip("01"))
+        raise ValidationError(f"line {k}: not a 2n-character 0/1 string: {line!r}")
+    if len(widths) != 1:
+        message = f"need labels on one qubit count, got counts {sorted(w // 2 for w in widths)}"
+        if lines:
+            k, line = _first_line(text, lambda line: len(line) != len(lines[0]))
+            message += f"; line {k} ({line!r}) differs from the first label"
+        else:
+            message += "; the text has no label line"
+        raise ValidationError(message)
+    width = widths.pop()
+    if width > 2 * RANDOM_QUBIT_CAP:
+        raise CapExceededError(f"label text capped at n={RANDOM_QUBIT_CAP}, got {width // 2}")
+    return digits.reshape(-1, width) @ (1 << np.arange(width)), width // 2
+
+
+def _first_line(text: str, bad) -> tuple[int, str]:
+    """The number and stripped text of the first non-blank line where ``bad`` holds."""
+    lines = enumerate(map(str.strip, text.splitlines()), 1)
+    return next((k, line) for k, line in lines if line and bad(line))
+
+
+def format_label_bits(bits, n: int) -> str:
+    """The label text of packed labels in [0, 4^n), one newline-terminated line each."""
+    if n > RANDOM_QUBIT_CAP:
+        raise CapExceededError(f"label text capped at n={RANDOM_QUBIT_CAP}, got {n}")
+    bits = np.asarray(bits, dtype=np.int64).reshape(-1, 1)
+    chars = np.full((bits.size, 2 * n + 1), ord("\n"), dtype=np.uint8)
+    chars[:, :-1] = ((bits >> np.arange(2 * n)) & 1) + ord("0")
+    return chars.tobytes().decode("ascii")
 
 
 def parse_labels(text: str) -> list[WeylLabel]:
     """The labels of a one-label-per-line text; blank lines are skipped."""
-    labels = [WeylLabel.from_string(ln) for ln in text.splitlines() if ln.strip()]
-    label_batch_qubits(labels)
-    return labels
+    bits, n = parse_label_bits(text)
+    return [WeylLabel(b, n) for b in bits.tolist()]
 
 
 def parse_subspace(text: str) -> GF2Subspace:
@@ -505,4 +555,4 @@ def parse_subspace(text: str) -> GF2Subspace:
 
 
 def format_subspace(V: GF2Subspace) -> str:
-    return "".join(WeylLabel(b, V.n).to_string() + "\n" for b in V.basis)
+    return format_label_bits(V.basis, V.n)

@@ -89,14 +89,22 @@ def graph_state(n: int, rng: np.random.Generator) -> PureState:
 
 
 def naive_dyadic_convolution(values: np.ndarray) -> np.ndarray:
-    """(f * f)(x) = sum_y f(y) f(x^y) by direct summation, O(N^2)."""
+    """(f * f)(x) = sum_y f(y) f(x^y) by direct summation, O(N^2).
+
+    Split x = (h, l) and y = (r, b) into high and low bits over the
+    reshape V[r, b] = f(y); then (f * f)(h, l) = sum_b M_h[b ^ l, b] with
+    M_h = V[r ^ h]^T V, one matrix product per high part h.
+    """
     values = np.asarray(values, dtype=np.float64)
     size = values.size
-    out = np.empty(size)
-    idx = np.arange(size, dtype=np.int32)
-    for x in range(size):
-        out[x] = np.dot(values[idx ^ x], values)
-    return out
+    low = 1 << ((size.bit_length() - 1) // 2)
+    V = values.reshape(size // low, low)
+    rows, b = np.arange(size // low), np.arange(low)
+    pick = b[None, :] ^ b[:, None]  # pick[l, b] = b ^ l
+    out = np.empty_like(V)
+    for h in rows:
+        out[h] = (V[rows ^ h].T @ V)[pick, b].sum(axis=1)
+    return out.reshape(-1)
 
 
 def gf2_rank(rows: list[int]) -> int:

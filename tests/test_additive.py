@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_bit_identical,
@@ -11,6 +13,7 @@ from conftest import (
     random_subspace,
     reference_dyadic_self_convolution,
 )
+from stabkit import additive
 from stabkit.additive import (
     GF2Set,
     bsg_extract,
@@ -72,6 +75,47 @@ def test_representation_counts_are_bit_identical_to_the_reference(n):
         members[rng.integers(members.size)] = True
         want = np.rint(reference_dyadic_self_convolution(members))
         assert_bit_identical(representation_counts(GF2Set(members, n))["r"].values, want)
+
+
+def _by_each_route(S: GF2Set) -> list[tuple]:
+    """r's int64 view, closure, energy and doubling, with every count taken by one route."""
+    results = []
+    for route in (additive._pair_counts, additive._transform_counts):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(additive, "_pair_counts", route)
+            mp.setattr(additive, "_transform_counts", route)
+            counts = representation_counts(S)
+            results.append((counts["r"].values.view(np.int64).tolist(), counts["closure_prob"],
+                            counts["additive_energy"], sumset_doubling(S)["doubling"]))
+    return results
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_both_count_routes_give_the_same_bits(n):
+    rng = np.random.default_rng(70 + n)
+    length = 1 << (2 * n)
+    switch = 1 << (n + 1)  # |S|^2 = 4^(n+1): the largest set counted by pairs
+    for size in [1, 2, switch, switch + 1] + ([length] if n <= 3 else []):
+        if size > length:
+            continue
+        S = GF2Set.from_indices(rng.choice(length, size=size, replace=False), n)
+        by_pairs, by_transform = _by_each_route(S)
+        assert by_pairs == by_transform
+        # The route the switch picks: the other one is never called.
+        other = "_transform_counts" if size <= switch else "_pair_counts"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(additive, other, None)
+            assert representation_counts(S)["r"].values.view(np.int64).tolist() == by_pairs[0]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, min(1 << (2 * n), 3 << (n + 1))), st.integers(0, 2**32 - 1))))
+def test_count_routes_agree_on_random_sets(case):
+    n, size, seed = case  # sizes up to 3 x the switch, so both sides are drawn
+    picks = np.random.default_rng(seed).choice(1 << (2 * n), size=size, replace=False)
+    by_pairs, by_transform = _by_each_route(GF2Set.from_indices(picks, n))
+    assert by_pairs == by_transform
 
 
 def test_extract_full_group_from_stabilizer_state():
@@ -289,6 +333,27 @@ def test_from_indices_rejects_what_is_not_a_member(indices):
     # -1 once set entry 15, and 16 ended in an IndexError traceback.
     with pytest.raises(ValidationError, match="integers in \\[0, 16\\)"):
         GF2Set.from_indices(indices, 2)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [{0, 5, 9}, (9, 5, 0), {9: 1, 0: 2, 5: 3}.keys(), np.array([9, 0, 5]),
+     np.array([0, 5, 9], dtype=np.uint8), np.array([5, 9, 0, 5, 9])],
+    ids=["set", "tuple", "dict-keys", "int64-array", "uint8-array", "repeats"],
+)
+def test_from_indices_takes_arrays_and_iterables(indices):
+    assert GF2Set.from_indices(indices, 2).indices().tolist() == [0, 5, 9]
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [np.array([-1]), np.array([0, 16]), np.array([1.5]), np.array([True])],
+    ids=["negative", "above-4^n", "float", "bool"],
+)
+def test_from_indices_rejects_arrays_that_are_not_members(indices):
+    with pytest.raises(ValidationError, match="integers in \\[0, 16\\)"):
+        GF2Set.from_indices(indices, 2)
+    assert GF2Set.from_indices(np.array([], dtype=np.int64), 2).size == 0
 
 
 def test_set_text_roundtrip():

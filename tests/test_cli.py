@@ -512,6 +512,32 @@ def test_zero_flag_reaches_validator(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"1000\n100\n", "validation error: line 2: not a 2n-character 0/1 string: '100'"),
+        (b"1000\n10\n", "validation error: need labels on one qubit count, got counts [1, 2]; "
+                        "line 2 ('10') differs from the first label"),
+        (b"1000\n1020\n", "validation error: line 2: not a 2n-character 0/1 string: '1020'"),
+        (b"1000\n1\xc3\xa900\n", "file error: 'ascii' codec can't decode byte 0xc3"),
+        (b"", "validation error: need labels on one qubit count, got counts []"),
+        (b"\n \n", "validation error: need labels on one qubit count, got counts []"),
+    ],
+    ids=["odd-width", "mixed-width", "not-0-1", "non-ascii", "empty", "blank"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["bsg", "--set-file", "{path}", "--seed", "1"],
+     ["uncertainty", "--kind", "haar", "--n", "2", "--seed", "1", "--labels-file", "{path}"]],
+    ids=["bsg", "uncertainty"],
+)
+def test_malformed_label_files_exit_2(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "labels.txt"
+    path.write_bytes(content)
+    assert cli.main([arg.format(path=path) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["fidelity", "--state-file", "{missing}"],

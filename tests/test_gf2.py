@@ -17,9 +17,11 @@ from stabkit.gf2 import (
     enumerate_lagrangians,
     enumerate_subspaces,
     extend_to_lagrangian,
+    format_label_bits,
     format_subspace,
     isotropic_cover,
     label_batch_qubits,
+    parse_label_bits,
     parse_labels,
     parse_subspace,
     span_and_classify,
@@ -328,6 +330,48 @@ def test_subspace_text_roundtrip():
     assert parse_subspace(format_subspace(V)) == V
     with pytest.raises(ValidationError):
         parse_subspace("")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 31])
+def test_label_text_matches_the_per_label_format(n):
+    # The per-label string, x1 half first with qubit 0 leftmost, is the reference.
+    bits = np.random.default_rng(n).integers(0, 1 << (2 * n), size=50)
+    want = [format(int(b), f"0{2 * n}b")[::-1] for b in bits]
+    text = format_label_bits(bits, n)
+    assert text == "".join(line + "\n" for line in want)
+    assert [WeylLabel(int(b), n).to_string() for b in bits] == want
+    got, got_n = parse_label_bits("\n  \n".join(want))  # stripped, blank lines skipped
+    assert got_n == n and got.dtype == np.int64 and np.array_equal(got, bits)
+    assert parse_labels(text) == [WeylLabel.from_string(line) for line in want]
+    assert [lab.bits for lab in parse_labels(text)] == bits.tolist()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1000\n101\n", "line 2: not a 2n-character 0/1 string: '101'"),
+        ("10\n\n10x1\n", "line 3: not a 2n-character 0/1 string: '10x1'"),
+        ("10\n1\u00e9\n", "line 2: not a 2n-character 0/1 string: '1\u00e9'"),
+        ("10\n01\n1000\n", "got counts \\[1, 2\\]; line 3 \\('1000'\\) differs"),
+        ("", "got counts \\[\\]; the text has no label line"),
+        (" \n\n", "got counts \\[\\]; the text has no label line"),
+    ],
+    ids=["odd-width", "bad-character", "non-ascii", "mixed-width", "empty", "blank"],
+)
+def test_malformed_label_text_names_the_line(text, message):
+    for parse in (parse_label_bits, parse_labels, parse_set):
+        with pytest.raises(ValidationError, match=message):
+            parse(text)
+
+
+def test_label_text_is_capped_where_labels_leave_an_int64():
+    assert parse_label_bits("0" * 62)[1] == 31
+    with pytest.raises(CapExceededError, match="label text capped at n=31"):
+        parse_label_bits("0" * 64)
+    with pytest.raises(CapExceededError, match="label text capped at n=31"):
+        format_label_bits([0], 32)
+    with pytest.raises(ValidationError, match="need one label, got 2"):
+        WeylLabel.from_string("10\n01")
 
 
 @pytest.mark.parametrize(
