@@ -251,6 +251,12 @@ def _cmd_sandwich_sweep(cfg: dict) -> tuple[list, dict]:
     per_class, n_values = cfg["per_class"], cfg["n_values"]
     if per_class < 0:
         raise ValidationError(f"per-class count must be >= 0, got {per_class}")
+    if min(n_values) < 1:  # every entry, before any state is drawn
+        raise ValidationError(f"--n-values entries must be >= 1, got {list(n_values)}")
+    if max(n_values) > oracle.ORACLE_QUBIT_CAP:
+        raise CapExceededError(
+            f"exhaustive oracle capped at n={oracle.ORACLE_QUBIT_CAP}, got --n-values {list(n_values)}"
+        )
     rows = []
     worst = -np.inf
     for kind in ("haar", "noisy_stabilizer", "stabilizer"):

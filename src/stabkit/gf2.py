@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 # Largest n whose Lagrangians are enumerated (and so the exact oracle's cap).
-LAGRANGIAN_QUBIT_CAP = 4
+LAGRANGIAN_QUBIT_CAP = 5
 # Largest n whose labels fit in an int64 (2n bits): rng.integers draws them,
 # and the label text is read and written as int64 arrays.
 RANDOM_QUBIT_CAP = 31
@@ -443,16 +443,13 @@ def enumerate_subspaces(two_n: int, dim: int | None = None) -> Iterator[tuple[in
 def enumerate_lagrangians(n: int) -> Iterator[GF2Subspace]:
     """Yield every Lagrangian subspace of F2^(2n) exactly once (n <= LAGRANGIAN_QUBIT_CAP).
 
-    Each Lagrangian is uniquely {(a, S a + c) : a in A, c in A^perp}, where
-    A <= F2^n is its x1-projection and S is a symmetric bilinear form on A
+    Each Lagrangian is uniquely {(S b + c, b) : b in B, c in B^perp}, where
+    B <= F2^n is its x2-projection and S is a symmetric bilinear form on B
     (Dehaene-De Moor 2003), so there are prod_{i=1..n} (2^i + 1) of them.
-    They come out sorted by canonical basis.
+    They come out sorted by canonical basis, one per row of ``_lagrangian_bases``.
     """
-    if n > LAGRANGIAN_QUBIT_CAP:
-        raise CapExceededError(
-            f"Lagrangian enumeration capped at n={LAGRANGIAN_QUBIT_CAP}, got {n}"
-        )
-    yield from _lagrangian_list(n)
+    for row in _lagrangian_bases(n).tolist():
+        yield GF2Subspace(row, n)
 
 
 def random_subspace(n: int, dim: int, rng) -> GF2Subspace:
@@ -470,27 +467,39 @@ def random_subspace(n: int, dim: int, rng) -> GF2Subspace:
 
 
 @lru_cache(maxsize=None)
-def _lagrangian_list(n: int) -> tuple[GF2Subspace, ...]:
-    subspaces = []
+def _lagrangian_bases(n: int) -> np.ndarray:
+    """Every Lagrangian's canonical basis, as the rows of a read-only (L, n) int64 array.
+
+    Rows follow ``enumerate_lagrangians``' parametrization and are sorted by
+    basis.  x2 is the high half, so B's reduced rows b_j lead each canonical
+    basis and B^perp's reduced rows (x1 only) close it.  The dual basis
+    f_j = e_(pivot b_j) reduced by B^perp has <b_i, f_j> = delta_ij and no
+    pivot of B^perp, so the rows (sum_j S_ij f_j, b_i) come out reduced for
+    every S at once.
+    """
+    if n < 1:
+        raise ValidationError(f"qubit count must be >= 1, got {n}")
+    if n > LAGRANGIAN_QUBIT_CAP:
+        raise CapExceededError(f"Lagrangian enumeration capped at n={LAGRANGIAN_QUBIT_CAP}, got {n}")
+    blocks = []
     for d in range(n + 1):
-        sym_slots = [(i, j) for j in range(d) for i in range(j + 1)]
-        for a_rows in enumerate_subspaces(n, d):
-            # Rows are in reduced echelon form, so the pivot unit vectors are
-            # a dual basis: <a_j, e_(pivot i)> = delta_ij.
-            pivots = [row.bit_length() - 1 for row in a_rows]
+        i, j = np.triu_indices(d)
+        fills = np.arange(1 << len(i))[:, None] >> np.arange(len(i)) & 1  # one S per fill
+        sym = np.zeros((len(fills), d, d), dtype=np.int64)
+        sym[:, i, j] = sym[:, j, i] = fills
+        for b_rows in enumerate_subspaces(n, d):
             perp = _reduce_rows(
-                c for c in range(1, 1 << n) if not any((c & a).bit_count() & 1 for a in a_rows)
+                c for c in range(1, 1 << n) if not any((c & b).bit_count() & 1 for b in b_rows)
             )
-            zero_x1 = [c << n for c in perp]
-            for fill in range(1 << len(sym_slots)):  # one symmetric matrix M per fill
-                x2 = [0] * d
-                for bit, (i, j) in enumerate(sym_slots):
-                    if fill >> bit & 1:
-                        x2[j] |= 1 << pivots[i]
-                        x2[i] |= 1 << pivots[j]
-                rows = [a | (s << n) for a, s in zip(a_rows, x2)]
-                subspaces.append(GF2Subspace(rows + zero_x1, n))
-    return tuple(sorted(subspaces, key=operator.attrgetter("basis")))
+            dual = np.array([_reduce(1 << (b.bit_length() - 1), perp) for b in b_rows], np.int64)
+            block = np.empty((len(fills), n), dtype=np.int64)
+            block[:, :d] = np.bitwise_xor.reduce(sym * dual, axis=2) | np.array(b_rows, np.int64) << n
+            block[:, d:] = perp
+            blocks.append(block)
+    bases = np.concatenate(blocks)
+    bases = bases[np.lexsort(bases.T[::-1])]
+    bases.flags.writeable = False
+    return bases
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ ordered products of the reduced-basis generators (the all-plus pattern is
 not always a group: e.g. the span of XX and ZZ contains -YY).  The best
 fidelity over one V is then a single Walsh-Hadamard transform of signed
 expectations, and the oracle maximizes over all Lagrangians (n <= ORACLE_QUBIT_CAP).
+It reads them as rows of ``gf2._lagrangian_bases`` and builds a ``GF2Subspace``
+only for the winning row.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
-from .gf2 import LAGRANGIAN_QUBIT_CAP, GF2Subspace, WeylLabel, enumerate_lagrangians
+from .gf2 import LAGRANGIAN_QUBIT_CAP, GF2Subspace, WeylLabel, _lagrangian_bases
 from .state import BLOCK, PureState, char_distribution, fwht, weyl_matrices
 
 __all__ = [
@@ -80,17 +82,16 @@ def _elements_and_signs(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
 
 
 @lru_cache(maxsize=8)
-def _lagrangian_table(n: int) -> tuple[tuple[GF2Subspace, ...], np.ndarray, np.ndarray]:
-    """All Lagrangians of F2^(2n), stacked elements and base signs.
+def _lagrangian_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every Lagrangian's canonical basis, stacked elements and base signs, one row each.
 
-    Rows follow ``enumerate_lagrangians`` (direct (A, S) parametrisation,
-    sorted by canonical basis), so argmax tie-breaks are lexicographic; all
-    rows' elements and signs come from one vectorized doubling pass.
+    Rows are ``gf2._lagrangian_bases(n)``, sorted by basis, so argmax
+    tie-breaks are lexicographic; all rows' elements and signs come from one
+    vectorized doubling pass.
     """
-    subspaces = tuple(enumerate_lagrangians(n))
-    bases = np.array([V.basis for V in subspaces], dtype=np.int64)
+    bases = _lagrangian_bases(n)
     elements, signs = _elements_and_signs(bases, n)
-    return subspaces, elements, signs
+    return bases, elements, signs
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,12 @@ def stabilizer_fidelity_exact(state: PureState) -> FidelityReport:
         raise CapExceededError(
             f"exhaustive oracle capped at n={ORACLE_QUBIT_CAP}, got {state.n}"
         )
-    subspaces, elements, signs = _lagrangian_table(state.n)
+    bases, elements, signs = _lagrangian_table(state.n)
     expect = state.expectations
-    per_lagrangian = np.empty(len(subspaces))
-    characters = np.empty(len(subspaces), dtype=np.intp)  # each row's first argmax
+    per_lagrangian = np.empty(len(bases))
+    characters = np.empty(len(bases), dtype=np.intp)  # each row's first argmax
     step = BLOCK >> state.n  # Lagrangians per pass: a pass's tables hold BLOCK entries
-    for lo in range(0, len(subspaces), step):
+    for lo in range(0, len(bases), step):
         rows = slice(lo, lo + step)
         fidelities = fwht(signs[rows] * expect[elements[rows]]) / (1 << state.n)
         characters[rows] = fidelities.argmax(axis=1)
@@ -128,7 +129,7 @@ def stabilizer_fidelity_exact(state: PureState) -> FidelityReport:
     best = int(np.argmax(per_lagrangian))  # first max = lexicographically smallest
     return FidelityReport(
         f_s=float(per_lagrangian[best]),
-        argmax_lagrangian=subspaces[best],
+        argmax_lagrangian=GF2Subspace(bases[best].tolist(), state.n),
         argmax_character=int(characters[best]),
     )
 

@@ -168,6 +168,7 @@ def test_config_file_values_parse_like_flags(tmp_path, capsys):
 def test_exit_codes(tmp_path, capsys):
     assert cli.main(["gamma", "--kind", "haar", "--n", "2"]) == 2  # missing seed
     assert cli.main(["fidelity", "--kind", "haar", "--n", "9", "--seed", "1"]) == 4
+    assert cli.main(["fidelity", "--kind", "haar", "--n", "6", "--seed", "1"]) == 4
     assert (
         cli.main(
             ["test", "--kind", "haar", "--n", "2", "--eps1", "0.5",
@@ -454,8 +455,10 @@ def test_theta_order_checked_before_allocation(tmp_path, capsys, argv, code):
         ["bsg", "--n", "9", "--subspace-dim", "1", "--seed", "1"],
         ["bsg", "--set-file", "{dir}/n9.txt", "--seed", "1"],
         ["bsg", "--set-file", "{dir}/n40.txt", "--seed", "1"],
+        # One state per class never reaches the 6; every entry is checked before a draw.
+        ["sandwich-sweep", "--per-class", "1", "--n-values", "1,6", "--seed", "1"],
     ],
-    ids=["cover-n40", "bsg-n40", "bsg-n9", "bsg-file-n9", "bsg-file-n40"],
+    ids=["cover-n40", "bsg-n40", "bsg-n9", "bsg-file-n9", "bsg-file-n40", "sweep-n-values-1-6"],
 )
 def test_random_and_dense_set_sizes_capped_before_allocation(tmp_path, capsys, argv):
     # cover and bsg at n = 40 once ended in a traceback from rng.integers; bsg

@@ -13,6 +13,7 @@ from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import (
     GF2Subspace,
     WeylLabel,
+    _lagrangian_bases,
     covers_exactly,
     enumerate_lagrangians,
     enumerate_subspaces,
@@ -281,10 +282,11 @@ def test_lagrangian_counts():
     assert len(list(enumerate_lagrangians(2))) == 15
     assert len(list(enumerate_lagrangians(3))) == 135
     expected = 1
-    for n in range(1, 5):
-        expected *= (1 << n) + 1  # prod_{i<=n} (2^i + 1)
-        lagrangians = list(enumerate_lagrangians(n))
-        assert len(lagrangians) == len({V.basis for V in lagrangians}) == expected
+    for n in range(1, 6):
+        expected *= (1 << n) + 1  # prod_{i<=n} (2^i + 1): 75,735 at n = 5
+        rows = _lagrangian_bases(n).tolist()
+        assert len(rows) == expected
+        assert all(a < b for a, b in zip(rows, rows[1:]))  # sorted by basis, each one once
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -304,17 +306,24 @@ def test_lagrangian_count_n2_against_brute_force():
 
 
 def test_lagrangians_distinct_and_lagrangian():
-    seen = set()
-    for V in enumerate_lagrangians(3):
-        assert V.is_lagrangian
-        assert V.basis not in seen
-        seen.add(V.basis)
-    assert len(seen) == (2 + 1) * (4 + 1) * (8 + 1)
+    # Every row of the table is its own canonical basis and spans a distinct Lagrangian.
+    for n in range(1, 6):
+        bases = _lagrangian_bases(n)
+        assert bases.dtype == np.int64 and bases.shape[1] == n and not bases.flags.writeable
+        seen = set()
+        for row, V in zip(bases.tolist(), enumerate_lagrangians(n), strict=True):
+            assert V.basis == tuple(row)  # V is GF2Subspace(row, n), which reduces its rows
+            assert V.is_lagrangian
+            assert V.basis not in seen
+            seen.add(V.basis)
+    assert len(seen) == (2 + 1) * (4 + 1) * (8 + 1) * (16 + 1) * (32 + 1)
 
 
 def test_lagrangian_cap():
     with pytest.raises(CapExceededError):
-        list(enumerate_lagrangians(5))
+        list(enumerate_lagrangians(6))
+    with pytest.raises(ValidationError):
+        list(enumerate_lagrangians(0))
 
 
 def test_random_subspace_cap():

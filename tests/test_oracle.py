@@ -63,7 +63,9 @@ def test_argmax_character_examples():
 
 def test_argmax_character_matches_a_fresh_transform_of_the_best_row():
     # The character is kept from the batched pass; one row transformed alone must agree.
-    subspaces_by_n = {n: _lagrangian_table(n) for n in (1, 2, 3, 4)}
+    subspaces_by_n = {
+        n: (list(enumerate_lagrangians(n)), *_lagrangian_table(n)[1:]) for n in (1, 2, 3, 4)
+    }
     rng = np.random.default_rng(31)
     for idx in range(60):
         n = 1 + idx % 4
@@ -81,9 +83,12 @@ def test_fidelity_examples():
     assert stabilizer_fidelity_exact(H_STATE).f_s == pytest.approx((2 + np.sqrt(2)) / 4)
     assert stabilizer_fidelity_exact(BELL).f_s == pytest.approx(1.0)
     rng = np.random.default_rng(0)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 5):
         stab = generate_state("stabilizer", n, rng=rng)
         assert stabilizer_fidelity_exact(stab).f_s == pytest.approx(1.0, abs=1e-10)
+    for n in range(1, 6):  # F_S(T^(tensor n)) = cos^2(pi/8)^n
+        t_fidelity = stabilizer_fidelity_exact(generate_state("t_tensor", n)).f_s
+        assert t_fidelity == pytest.approx(np.cos(np.pi / 8) ** (2 * n), abs=1e-12)
 
 
 def test_bell_state_argmax_group():
@@ -103,8 +108,8 @@ def test_fidelity_report_dominates_masses_and_characters():
         assert report.f_s >= (1 << n) ** -1 - 1e-12
         table = weyl_expectation_table(psi)
         p = char_distribution(psi).values
-        subspaces, elements, signs = _lagrangian_table(n)
-        for row, V in enumerate(subspaces):
+        _, elements, signs = _lagrangian_table(n)
+        for row, V in enumerate(enumerate_lagrangians(n)):
             fids = fwht(signs[row] * table[elements[row]]) / (1 << n)
             mass = lagrangian_mass(psi, V)
             assert report.f_s >= mass - 1e-10
@@ -117,8 +122,8 @@ def test_character_fidelities_are_probabilities_and_parseval():
     rng = np.random.default_rng(2)
     psi = generate_state("haar", 2, rng=rng)
     table = weyl_expectation_table(psi)
-    subspaces, elements, signs = _lagrangian_table(2)
-    for row, V in enumerate(subspaces):
+    _, elements, signs = _lagrangian_table(2)
+    for row, V in enumerate(enumerate_lagrangians(2)):
         fids = fwht(signs[row] * table[elements[row]]) / 4
         assert fids.min() >= -1e-10 and fids.max() <= 1.0 + 1e-10
         assert float((fids**2).sum()) == pytest.approx(twirl_purity(psi, V), abs=1e-9)
@@ -127,7 +132,9 @@ def test_character_fidelities_are_probabilities_and_parseval():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_table_matches_per_lagrangian_loop(n):
     # Reference: multiply the generators one at a time with weyl_product_phase.
-    subspaces, elements, signs = _lagrangian_table(n)
+    bases, elements, signs = _lagrangian_table(n)
+    subspaces = list(enumerate_lagrangians(n))
+    assert bases.tolist() == [list(V.basis) for V in subspaces]
     assert elements.shape == signs.shape == (len(subspaces), 1 << n)
     for row, V in enumerate(subspaces):
         for c in range(1 << n):
@@ -159,4 +166,4 @@ def test_twirl_matches_mass_on_random_states():
 
 def test_oracle_cap():
     with pytest.raises(CapExceededError):
-        stabilizer_fidelity_exact(generate_state("haar", 5, seed=4))
+        stabilizer_fidelity_exact(generate_state("haar", 6, seed=4))
