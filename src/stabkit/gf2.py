@@ -8,7 +8,8 @@ element" step, so all constructions here are deterministic.
 Subspaces are canonical by construction: ``GF2Subspace`` takes any spanning
 rows and stores their reduced basis (pivot = highest set bit, cleared from
 every other row; rows strictly decreasing), so equal spans compare equal.
-``_reduce`` is the one pivot-clearing step, on ints and int64 arrays alike.
+``_reduce`` is the one pivot-clearing step and ``_form_bits`` the one
+symplectic form, on ints and int64 arrays alike.
 """
 
 from __future__ import annotations
@@ -116,10 +117,11 @@ def label_batch_qubits(labels: list[WeylLabel]) -> int:
     return counts.pop()
 
 
-def _form_bits(a: int, b: int, n: int) -> int:
+def _form_bits(a, b, n: int):
+    """<a1,b2> + <a2,b1> mod 2 of packed labels, for ints or int64 arrays of them."""
     mask = (1 << n) - 1
     v = ((a & mask) & (b >> n)) ^ ((a >> n) & (b & mask))
-    return v.bit_count() & 1
+    return (v.bit_count() if isinstance(v, int) else np.bitwise_count(v)) & 1
 
 
 def _reduce(vec, basis: Iterable[int]):

@@ -2,7 +2,11 @@
 
 theta(G) = max <J, X> over unit-trace PSD matrices X vanishing on edges;
 its dual is min t subject to tI + sum_e y_e E_e - J PSD.  ``lovasz_theta``
-keeps one certified bracket value <= theta <= upper, fed by two solvers:
+keeps one certified bracket value <= theta <= upper.  The sandwich
+alpha <= theta <= chi-bar (Lovasz 1979) feeds it first: a greedy independent
+set I gives the primal 1_I 1_I^T / |I| of value |I|, and a clique cover of k
+cliques the dual k(B - I), B the same-clique indicator, whose bound is k.
+Where |I| = k within tol no solver runs; otherwise two solvers follow:
 
 * Douglas-Rachford splitting with over-relaxation, one n x n
   eigendecomposition per iteration whatever |E|, runs first, for a budget
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .gf2 import WeylLabel, label_batch_qubits, symplectic_form
+from .gf2 import RANDOM_QUBIT_CAP, WeylLabel, _form_bits, label_batch_qubits
 
 __all__ = [
     "IPM_MAX_ROWS",
@@ -77,17 +81,18 @@ class SimpleGraph:
 
 
 def anticommutation_graph(labels: list[WeylLabel]) -> SimpleGraph:
-    """Vertices are the labels; edges join anticommuting pairs."""
-    label_batch_qubits(labels)
+    """Vertices are the labels; edges join anticommuting pairs.
+
+    The form is taken over all pairs at once, on the labels as an int64
+    array, so the labels may have at most RANDOM_QUBIT_CAP qubits.
+    """
+    n = label_batch_qubits(labels)
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate labels")
-    count = len(labels)
-    adj = np.zeros((count, count), dtype=bool)
-    for i in range(count):
-        for j in range(i + 1, count):
-            if symplectic_form(labels[i], labels[j]):
-                adj[i, j] = adj[j, i] = True
-    return SimpleGraph(adj)
+    if n > RANDOM_QUBIT_CAP:
+        raise CapExceededError(f"anticommutation graphs capped at n={RANDOM_QUBIT_CAP}, got {n}")
+    bits = np.array([lab.bits for lab in labels], dtype=np.int64)
+    return SimpleGraph(_form_bits(bits[:, None], bits, n).astype(bool))
 
 
 def compose_graphs(
@@ -179,7 +184,9 @@ class ThetaResult:
     point; ``upper`` is lambda_max(J - M) for an edge-supported dual M.
     ``converged`` says the bracket is no wider than the requested tol;
     ``solver`` names the path that ran last, which closed the bracket if
-    any did, and ``iterations`` counts the iterations of both paths.
+    any did, and ``iterations`` counts the iterations of both paths.  It is
+    "bounds", with 0 iterations, when the independent set and the clique
+    cover alone closed the bracket, which fixes theta to an integer.
     """
 
     value: float
@@ -188,7 +195,7 @@ class ThetaResult:
     residuals: dict
     iterations: int
     converged: bool
-    solver: str  # "ipm" or "dr"
+    solver: str  # "bounds", "dr" or "ipm"
 
     @property
     def gap(self) -> float:
@@ -240,6 +247,54 @@ class _Bracket:
         if value > self.lower:
             self.lower, self.matrix = value, repaired
         return self.gap
+
+
+# --- Sandwich bounds: alpha <= theta <= chi-bar, before any solver ------------
+
+
+def _independent_set_and_cliques(edges: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """A greedy independent set I and a clique cover seeded with it.
+
+    I takes the vertex of lowest degree among those left (on ties, of lowest
+    degree in the graph, then of lowest index), then drops it and its
+    neighbours, until none is left.  The cover opens one clique per member
+    of I; every other vertex, highest degree first, joins the first clique
+    it is adjacent to throughout, or opens a new one.  Both run on neighbour
+    bitsets.  Returns I and each vertex's clique index, 0..k-1.
+    """
+    order = edges.shape[0]
+    nbr = (edges.astype(np.uint64) << np.arange(order, dtype=np.uint64)).sum(axis=1).tolist()
+    degree = [members.bit_count() for members in nbr]
+    independent, alive, left = [], list(range(order)), (1 << order) - 1
+    while alive:
+        v = min(alive, key=lambda u: ((nbr[u] & left).bit_count(), degree[u]))
+        independent.append(v)
+        left &= ~(nbr[v] | 1 << v)
+        alive = [u for u in alive if left >> u & 1]
+    cliques = [1 << v for v in independent]
+    clique_of = np.empty(order, dtype=np.int64)
+    clique_of[independent] = np.arange(len(independent))
+    for v in [u for u in sorted(range(order), key=lambda u: -degree[u]) if u not in independent]:
+        c = next((c for c, members in enumerate(cliques) if not members & ~nbr[v]), len(cliques))
+        if c == len(cliques):
+            cliques.append(0)
+        cliques[c] |= 1 << v
+        clique_of[v] = c
+    return independent, clique_of
+
+
+def _sandwich_bounds(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The feasible primal 1_I 1_I^T / |I| and the edge-supported dual k(B - I).
+
+    Its value is |I| <= alpha.  By Cauchy-Schwarz over the k cliques,
+    (sum x)^2 <= k x^T B x, so J - k(B - I) <= kI and lambda_max(J - M) <= k.
+    """
+    independent, clique_of = _independent_set_and_cliques(edges)
+    primal = np.zeros(edges.shape)
+    primal[np.ix_(independent, independent)] = 1.0 / len(independent)
+    same_clique = clique_of[:, None] == clique_of
+    np.fill_diagonal(same_clique, False)
+    return primal, float(clique_of.max() + 1) * same_clique
 
 
 # --- Interior-point path: |E| + 1 Schur rows per iteration ---------------------
@@ -389,24 +444,26 @@ def _theta_dr(edges: np.ndarray, tol: float, bracket: _Bracket) -> int:
 def lovasz_theta(g: SimpleGraph, tol: float = 1e-6) -> ThetaResult:
     """Certified bracket on theta of a dense graph of order <= 64.
 
-    Graphs with more than IPM_MAX_ROWS Schur rows, |E| + 1, first run
-    Douglas-Rachford for at most _DR_MAX_ITERATIONS.  If the bracket is then
-    still wider than tol, or the graph is smaller, the interior-point path
-    runs and folds its iterates into the same bracket.  A bracket that ends
-    wider than tol is returned with converged=False.
+    The sandwich bounds open the bracket; if they are within tol, no solver
+    runs.  Otherwise graphs with more than IPM_MAX_ROWS Schur rows, |E| + 1,
+    run Douglas-Rachford for at most _DR_MAX_ITERATIONS.  If the bracket is
+    then still wider than tol, or the graph is smaller, the interior-point
+    path runs and folds its iterates into the same bracket.  A bracket that
+    ends wider than tol is returned with converged=False.
     """
     check_theta_order(g.order)
     if not 1e-8 <= tol <= 1e-3:
         raise ValidationError(f"tol must lie in [1e-8, 1e-3], got {tol}")
     edges = g.adjacency
-    bracket, iterations, solver = _Bracket(edges), 0, "dr"
-    if g.edge_count + 1 > IPM_MAX_ROWS:
-        iterations = _theta_dr(edges, tol, bracket)
+    bracket, iterations, solver = _Bracket(edges), 0, "bounds"
+    bracket.update(*_sandwich_bounds(edges))
+    if bracket.gap > tol and g.edge_count + 1 > IPM_MAX_ROWS:
+        iterations, solver = _theta_dr(edges, tol, bracket), "dr"
     if bracket.gap > tol:
         iterations, solver = iterations + _theta_ipm(edges, tol, bracket), "ipm"
     repaired = bracket.matrix
-    residuals = {
-        "psd_violation": max(-float(np.linalg.eigvalsh(repaired)[0]), 0.0),
+    residuals = {  # 0.0 first in max: an exact zero eigenvalue reads 0.0, not -0.0
+        "psd_violation": max(0.0, -float(np.linalg.eigvalsh(repaired)[0])),
         "trace_gap": abs(float(np.trace(repaired)) - 1.0),
         "edge_violation": float(np.max(np.abs(repaired[edges]))) if edges.any() else 0.0,
     }

@@ -41,6 +41,21 @@ def test_anticommutation_graph_examples():
     assert triangle.edge_count == 3
     with pytest.raises(ValidationError):
         anticommutation_graph([X1, X1])
+    with pytest.raises(ValidationError):
+        anticommutation_graph([X1, WeylLabel(1, 2)])
+    with pytest.raises(CapExceededError):  # 64-bit labels do not fit the int64 form
+        anticommutation_graph([WeylLabel(1, 32), WeylLabel(1 << 32, 32)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_anticommutation_graph_matches_pairwise_form(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        count = int(rng.integers(1, min(30, 1 << (2 * n)) + 1))
+        bits = rng.choice(1 << (2 * n), size=count, replace=False)
+        labels = [WeylLabel(int(b), n) for b in bits]
+        expected = [[symplectic_form(a, b) == 1 for b in labels] for a in labels]
+        assert anticommutation_graph(labels).adjacency.tolist() == expected
 
 
 def test_compose_examples():
@@ -110,22 +125,44 @@ def test_theta_c5_two_solver_configurations():
 
 
 def test_theta_solver_chosen_by_schur_rows():
-    # |E| + 1 Schur rows: K23 has 254 and takes the interior-point path, K24 has 277.
-    assert lovasz_theta(complete_graph(23)).solver == "ipm"
+    # alpha(K_m) = chi-bar(K_m) = 1, so the sandwich bounds close K_m on either side of
+    # the threshold (254, 277, 781 and 2,017 Schur rows |E| + 1) before any solver runs.
+    for m in (23, 24, 40, 64):
+        result = lovasz_theta(complete_graph(m))
+        assert (result.solver, result.iterations, result.converged) == ("bounds", 0, True)
+        assert result.value <= 1.0 <= result.upper
+    # theta(C5 x C7) = sqrt(5) theta(C7) is no integer, so the bounds leave it open:
+    # 141 rows take the interior-point path.
+    product = compose_graphs("strong_product", cycle_graph(5), cycle_graph(7))
+    assert product.edge_count + 1 <= graphs.IPM_MAX_ROWS
+    result = lovasz_theta(product)
+    assert result.solver == "ipm" and result.converged
+    theta_c7 = 7 * np.cos(np.pi / 7) / (1 + np.cos(np.pi / 7))
+    assert result.value <= np.sqrt(5) * theta_c7 <= result.upper
     # The slowest of the graphs on which Douglas-Rachford once beat the interior-point
     # path by 5x or more: the fourth of these dense draws, which it closes in 200.
     rng = np.random.default_rng(5)
     draws = [rand_graph(rng, int(rng.integers(40, 65)), float(rng.uniform(0.8, 0.97)))
              for _ in range(4)]
     assert (draws[3].order, draws[3].edge_count) == (64, 1794)
-    for dense, theta in [(complete_graph(24), 1.0), (complete_graph(40), 1.0),
-                         (complete_graph(64), 1.0), (pauli_group_graph(3), 8.0),
-                         (draws[3], None)]:  # 277, 781, 2,017, 1,009 and 1,795 rows
+    for dense, theta in [(pauli_group_graph(3), 8.0), (draws[3], None)]:  # 1,009, 1,795 rows
         result = lovasz_theta(dense)
         assert result.solver == "dr" and result.converged
-        assert result.iterations <= graphs._DR_MAX_ITERATIONS
+        assert 1 <= result.iterations <= graphs._DR_MAX_ITERATIONS
         if theta is not None:
             assert result.value <= theta <= result.upper
+
+
+def test_sandwich_bounds_close_complete_and_empty_graphs_only():
+    for m in range(1, 65):
+        for g, theta in ((complete_graph(m), 1.0), (empty_graph(m), float(m))):
+            result = lovasz_theta(g)
+            assert (result.solver, result.iterations, result.converged) == ("bounds", 0, True)
+            assert result.value == pytest.approx(theta, abs=1e-9)
+            assert result.upper == pytest.approx(theta, abs=1e-9)
+    for cycle in (cycle_graph(5), cycle_graph(7)):  # alpha < theta < chi-bar
+        result = lovasz_theta(cycle)
+        assert result.solver == "ipm" and result.iterations >= 1
 
 
 def _handoff_graphs() -> list[SimpleGraph]:

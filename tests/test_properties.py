@@ -165,15 +165,39 @@ def _greedy_clique_cover(adj: np.ndarray) -> int:
 @PROPERTY
 @given(small_graphs())
 def test_theta_solvers_give_overlapping_certified_brackets(g):
-    ipm = lovasz_theta(g, 1e-6)
-    dr = graphs._Bracket(g.adjacency)
+    theta = lovasz_theta(g, 1e-6)
+    ipm, dr = graphs._Bracket(g.adjacency), graphs._Bracket(g.adjacency)
+    graphs._theta_ipm(g.adjacency, 1e-6, ipm)  # the interior-point method alone
     graphs._theta_dr(g.adjacency, 1e-3, dr)  # Douglas-Rachford alone
-    assert ipm.solver == "ipm"
-    for lower, upper in ((ipm.value, ipm.upper), (dr.lower, dr.upper)):
+    assert ipm.gap <= 1e-6
+    brackets = [(theta.value, theta.upper), (ipm.lower, ipm.upper), (dr.lower, dr.upper)]
+    for lower, upper in brackets:
         assert lower <= upper
         assert _independence_number(g.adjacency) <= upper + 1e-9
         assert lower <= _greedy_clique_cover(g.adjacency) + 1e-9
-    assert ipm.value <= dr.upper + 1e-9 and dr.lower <= ipm.upper + 1e-9
+    for (lower, upper), (other_lower, other_upper) in itertools.combinations(brackets, 2):
+        assert lower <= other_upper + 1e-9 and other_lower <= upper + 1e-9
+
+
+@PROPERTY
+@given(small_graphs())
+def test_sandwich_pair_is_an_independent_set_and_a_clique_cover(g):
+    adj = g.adjacency
+    independent, clique_of = graphs._independent_set_and_cliques(adj)
+    assert independent and not adj[np.ix_(independent, independent)].any()
+    k = int(clique_of.max()) + 1
+    assert set(clique_of.tolist()) == set(range(k))  # k nonempty parts, one per vertex
+    same_clique = clique_of[:, None] == clique_of
+    assert (adj | np.eye(g.order, dtype=bool))[same_clique].all()
+    theta = lovasz_theta(g, 1e-6)
+    assert len(independent) <= _independence_number(adj) <= theta.upper + 1e-9
+    assert theta.value <= k + 1e-9
+    if theta.solver == "bounds":
+        assert theta.iterations == 0 and theta.converged
+        assert abs(theta.value - len(independent)) <= 1e-9 and abs(theta.upper - k) <= 1e-9
+        ipm = graphs._Bracket(adj)
+        graphs._theta_ipm(adj, 1e-6, ipm)
+        assert abs(ipm.lower - k) <= 1e-6 and abs(ipm.upper - k) <= 1e-6
 
 
 @PROPERTY
