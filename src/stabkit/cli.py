@@ -319,6 +319,7 @@ def _cmd_theta(cfg: dict) -> tuple[dict, dict]:
 
 def _cmd_uncertainty(cfg: dict) -> tuple[dict, dict]:
     rng = _require_seed(cfg)
+    uncertainty.check_restarts(cfg["restarts"])  # before any draw
     psi = _load_state(cfg, rng)
     labels = _read_input(cfg, "labels_file", gf2.parse_labels, random_labels=None)
     if labels is None:

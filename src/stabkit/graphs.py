@@ -187,6 +187,7 @@ class ThetaResult:
     any did, and ``iterations`` counts the iterations of both paths.  It is
     "bounds", with 0 iterations, when the independent set and the clique
     cover alone closed the bracket, which fixes theta to an integer.
+    ``independent`` is that greedy independent set I, |I| <= alpha <= theta.
     """
 
     value: float
@@ -196,6 +197,7 @@ class ThetaResult:
     iterations: int
     converged: bool
     solver: str  # "bounds", "dr" or "ipm"
+    independent: tuple[int, ...]
 
     @property
     def gap(self) -> float:
@@ -283,8 +285,9 @@ def _independent_set_and_cliques(edges: np.ndarray) -> tuple[list[int], np.ndarr
     return independent, clique_of
 
 
-def _sandwich_bounds(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The feasible primal 1_I 1_I^T / |I| and the edge-supported dual k(B - I).
+def _sandwich_bounds(edges: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The greedy independent set I, the feasible primal 1_I 1_I^T / |I| and the
+    edge-supported dual k(B - I).
 
     Its value is |I| <= alpha.  By Cauchy-Schwarz over the k cliques,
     (sum x)^2 <= k x^T B x, so J - k(B - I) <= kI and lambda_max(J - M) <= k.
@@ -294,7 +297,7 @@ def _sandwich_bounds(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     primal[np.ix_(independent, independent)] = 1.0 / len(independent)
     same_clique = clique_of[:, None] == clique_of
     np.fill_diagonal(same_clique, False)
-    return primal, float(clique_of.max() + 1) * same_clique
+    return independent, primal, float(clique_of.max() + 1) * same_clique
 
 
 # --- Interior-point path: |E| + 1 Schur rows per iteration ---------------------
@@ -456,7 +459,8 @@ def lovasz_theta(g: SimpleGraph, tol: float = 1e-6) -> ThetaResult:
         raise ValidationError(f"tol must lie in [1e-8, 1e-3], got {tol}")
     edges = g.adjacency
     bracket, iterations, solver = _Bracket(edges), 0, "bounds"
-    bracket.update(*_sandwich_bounds(edges))
+    independent, *pair = _sandwich_bounds(edges)
+    bracket.update(*pair)
     if bracket.gap > tol and g.edge_count + 1 > IPM_MAX_ROWS:
         iterations, solver = _theta_dr(edges, tol, bracket), "dr"
     if bracket.gap > tol:
@@ -475,6 +479,7 @@ def lovasz_theta(g: SimpleGraph, tol: float = 1e-6) -> ThetaResult:
         iterations=iterations,
         converged=bracket.gap <= tol,
         solver=solver,
+        independent=tuple(independent),
     )
 
 

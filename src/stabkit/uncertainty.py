@@ -1,12 +1,18 @@
 """Generalized uncertainty relation machinery.
 
-For a label set A and any pure state, sum_i <A_i>^2 is at most the maximum
-operator norm of a squared unit-coefficient combination of the A_i, which
-in turn is at most the Lovasz theta of the anti-commutation graph.  The
+For a label set A and any pure state, sum_i <A_i>^2 is at most psi0, the
+maximum squared operator norm of a unit-coefficient combination of the A_i,
+which in turn is at most the Lovasz theta of the anti-commutation graph.  The
 middle quantity is nonconvex; this module bounds it from below by a
 multi-start fixed-point ascent, a <- mu g/|mu g| with g_k = <v|W_k|v> at the
 extreme eigenpair (mu, v) of H(a), which never lowers mu^2 because
 mu(a')^2 >= <v|H(a')|v>^2 = |g|^2 >= (a.g)^2 = mu(a)^2.
+
+``uncertainty_certificate`` brackets theta first; theta draws no random
+numbers.  Both ends of its sandwich then serve the ascent.  A commuting set I
+(theta's greedy independent set) attains |I| <= psi0 through one signed start,
+and the ascent stops every start once its best mu^2 reaches theta's certified
+upper bound less theta_tol, where psi0 is already fixed to within theta_tol.
 """
 
 from __future__ import annotations
@@ -18,13 +24,15 @@ import numpy as np
 from .errors import CapExceededError, CertificateError, ValidationError
 from .gf2 import WeylLabel, label_batch_qubits
 from .graphs import ThetaResult, anticommutation_graph, check_theta_order, lovasz_theta
-from .state import PureState, weyl_matrices
+from .state import PureState, _weyl_nonzeros, weyl_matrices
 
 __all__ = [
     "HAMILTONIAN_QUBIT_CAP",
     "HamiltonianSpec",
+    "RESTART_CAP",
     "UncertaintyCertificate",
     "check_hamiltonian_qubits",
+    "check_restarts",
     "hamiltonian_norm_sq",
     "psi0_lower_bound",
     "uncertainty_certificate",
@@ -37,6 +45,8 @@ _ROUNDOFF = 1e-9
 # Fixed-point ascent: relative tol of the stopping gap |g|^2 - mu^2 and of a mix's loss; cap.
 _ASCENT_TOL = 1e-12
 _ASCENT_MAX_STEPS = 500
+# Random starts per ascent; each stacks a few 4^n-entry complex matrices per round.
+RESTART_CAP = 1024
 
 
 def check_hamiltonian_qubits(n: int) -> None:
@@ -45,6 +55,14 @@ def check_hamiltonian_qubits(n: int) -> None:
         raise CapExceededError(
             f"dense Hamiltonians capped at n={HAMILTONIAN_QUBIT_CAP}, got {n}"
         )
+
+
+def check_restarts(restarts: int) -> None:
+    """Refuse fewer than one random start, or more than RESTART_CAP."""
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    if restarts > RESTART_CAP:
+        raise CapExceededError(f"ascent restarts capped at {RESTART_CAP}, got {restarts}")
 
 
 def _check_labels(labels: list[WeylLabel]) -> int:
@@ -108,7 +126,8 @@ def _fixed_point_round(flat: np.ndarray, flat_conj: np.ndarray, dim: int,
     return value, g_sq - value, (np.sign(mu) / np.sqrt(g_sq))[:, None] * g
 
 
-def _ascend(mats: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _ascend(mats: np.ndarray, starts: np.ndarray,
+            ceiling: float = np.inf) -> tuple[np.ndarray, np.ndarray, int]:
     """Fixed-point ascent of mu(a)^2 on the coefficient sphere from every start, in lockstep.
 
     The plain step a' = mu g / |mu g| never lowers mu^2, since
@@ -117,7 +136,8 @@ def _ascend(mats: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     two plain steps; a mix that lowers mu^2 by more than _ASCENT_TOL is dropped for
     the plain step from the last accepted point.  A start stops at an accepted point
     with |g|^2 - mu^2 <= _ASCENT_TOL * max(mu^2, 1), or after _ASCENT_MAX_STEPS
-    rounds.  Returns each start's best mu^2 and argument, and the rounds taken.
+    rounds; every start stops once the best mu^2 of any reaches ``ceiling``.
+    Returns each start's best mu^2 and argument, and the rounds taken.
     """
     count, dim = mats.shape[0], mats.shape[1]
     flat = mats.reshape(count, dim * dim).view(np.float64)
@@ -132,6 +152,8 @@ def _ascend(mats: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarra
         value, gap, nxt = _fixed_point_round(flat, flat_conj, dim, a)
         up = value > best_value[idx]
         best_value[idx[up]], best_arg[idx[up]] = value[up], a[up]
+        if best_value.max() >= ceiling:
+            break
         ok = value >= best_value[idx] - _ASCENT_TOL * np.maximum(best_value[idx], 1.0)
         # Anderson(1): residuals r = a' - a of this and the last accepted step.
         res, res_diff = nxt - a, nxt - a - last_next[idx] + last_a[idx]
@@ -150,22 +172,44 @@ def psi0_lower_bound(
     restarts: int = 64,
     rng: np.random.Generator | None = None,
     seed_starts: list[np.ndarray] | None = None,
+    ceiling: float = np.inf,
 ) -> dict:
     """Certified lower bound on the max squared operator norm over unit coefficients.
 
     The ascent runs from ``restarts`` random starts plus any seed starts; every value
-    it keeps is a true norm.  ``steps`` counts its lockstep rounds.
+    it keeps is a true norm.  It stops once its best value reaches ``ceiling``: a
+    caller that knows psi0 <= c passes c - tol and gets a value within tol of psi0.
+    ``steps`` counts its lockstep rounds.
     """
     _check_labels(labels)
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    check_restarts(restarts)
     if rng is None:
         rng = np.random.default_rng(0)
     starts = [np.asarray(s, dtype=np.float64) for s in seed_starts or []]
     starts += [rng.normal(size=len(labels)) for _ in range(restarts)]
-    values, args, steps = _ascend(weyl_matrices(labels), np.array(starts))
+    values, args, steps = _ascend(weyl_matrices(labels), np.array(starts), ceiling)
     best = int(np.argmax(values))  # the first start reaching the maximum
     return {"value": float(values[best]), "argmax": args[best], "steps": steps}
+
+
+def _commuting_start(labels: list[WeylLabel], members: tuple[int, ...]) -> np.ndarray:
+    """a = s / sqrt|I| on a pairwise-commuting subset I of the labels, 0 elsewhere.
+
+    s_i is W_i's eigenvalue on a joint eigenvector v, built from e_0 by the
+    projections (1 + s_i W_i)/2 one label at a time, s_i the sign of <v|W_i|v>
+    (the larger of the two halves).  Then H(a) v = sqrt|I| v, so mu(a)^2 = |I|.
+    Dependent sets need the signs: on {II, XX, YY, ZZ} all-plus gives mu^2 = 1.
+    """
+    rows, values = _weyl_nonzeros([labels[i] for i in members])
+    v = np.zeros(rows.shape[1], dtype=np.complex128)
+    v[0] = 1.0
+    start = np.zeros(len(labels))
+    for i, row, value in zip(members, rows, values):
+        wv = (value * v)[row]  # W_i v: row z ^ x1 of the product is value[z] v[z]
+        start[i] = 1.0 if np.vdot(v, wv).real >= 0 else -1.0
+        v += start[i] * wv
+        v /= np.linalg.norm(v)
+    return start / np.sqrt(len(members))
 
 
 @dataclass(frozen=True)
@@ -174,7 +218,7 @@ class UncertaintyCertificate:
     witness: np.ndarray
     psi0_lb: float
     theta: ThetaResult  # the certified bracket on theta(Gamma_A)
-    ascent_steps: int  # lockstep rounds of the psi0 ascent
+    ascent_steps: int  # lockstep rounds of the psi0 ascent, to convergence or to theta's ceiling
 
     @property
     def theta_ub(self) -> float:
@@ -190,12 +234,15 @@ def uncertainty_certificate(
 ) -> UncertaintyCertificate:
     """Evaluate and verify the chain sum <A_i>^2 <= psi0 <= theta(Gamma_A).
 
-    The expectation vector w seeds the ascent: the norm of H(w/|w|) already
-    certifies the first link, so a violation of any link signals a solver
-    or engine bug rather than a property of the input.
+    theta is bracketed first.  The expectation vector w seeds the ascent: the
+    norm of H(w/|w|) already certifies the first link, so a violation of any
+    link signals a solver or engine bug rather than a property of the input.
+    theta's independent set seeds it too, at mu^2 = |I|, and the ascent stops
+    at theta.upper - theta_tol, so psi0_lb is within theta_tol of psi0 there.
     """
     n = _check_labels(labels)
     check_theta_order(len(labels))  # before any matrix is stacked or ascended
+    check_restarts(restarts)
     if state.n != n:
         raise ValidationError(f"qubit-count mismatch: state n={state.n}, labels n={n}")
     if rng is None:
@@ -203,6 +250,13 @@ def uncertainty_certificate(
     witness = state.expectations[[lab.bits for lab in labels]]
     lhs = float(np.dot(witness, witness))
     norm = float(np.linalg.norm(witness))
+
+    theta = lovasz_theta(anticommutation_graph(labels), theta_tol)
+    if not theta.converged:
+        raise CertificateError(
+            f"theta solver did not converge: bracket [{theta.value!r}, {theta.upper!r}] "
+            f"after {theta.iterations} {theta.solver} iterations"
+        )
 
     seed_starts, seed_norm_sq = [], 0.0
     if norm > 1e-12:
@@ -213,15 +267,11 @@ def uncertainty_certificate(
                 f"witness bound failed: lhs {lhs!r} vs {norm * np.sqrt(seed_norm_sq)!r}"
             )
         seed_starts.append(seed)
+    seed_starts.append(_commuting_start(labels, theta.independent))
 
-    ascent = psi0_lower_bound(labels, restarts, rng, seed_starts)
+    ascent = psi0_lower_bound(labels, restarts, rng, seed_starts,
+                              ceiling=theta.upper - theta_tol)
     psi0_lb = max(float(ascent["value"]), seed_norm_sq)
-    theta = lovasz_theta(anticommutation_graph(labels), theta_tol)
-    if not theta.converged:
-        raise CertificateError(
-            f"theta solver did not converge: bracket [{theta.value!r}, {theta.upper!r}] "
-            f"after {theta.iterations} {theta.solver} iterations"
-        )
 
     if lhs > psi0_lb + 1e-8:
         raise CertificateError(f"chain failed: lhs {lhs!r} > psi0 bound {psi0_lb!r}")

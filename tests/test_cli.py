@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabkit import additive, cli, gf2, uncertainty
+from stabkit import additive, cli, gf2, state, uncertainty
 from stabkit.gf2 import WeylLabel, span_and_classify, format_subspace
 from stabkit.state import generate_state, state_to_json_dict
 
@@ -298,19 +298,27 @@ def test_theta_dense_graph_file(tmp_path, seed):
     assert res["converged"] is True and res["gap"] <= 1e-6
 
 
-@pytest.mark.parametrize("source", ["random", "file"])
+@pytest.mark.parametrize("source", ["random", "file", "restarts"])
 def test_uncertainty_label_count_capped_before_the_ascent(tmp_path, monkeypatch, capsys, source):
     # 1,000 labels at n = 6 once stacked their matrices and ran the ascent before exiting 4.
-    calls = []
+    # Restarts stack a 4^n-entry matrix each per round: above the cap nothing is drawn.
+    calls, drawn = [], []
     monkeypatch.setattr(uncertainty, "weyl_matrices", lambda *a: calls.append(a))
     monkeypatch.setattr(uncertainty, "_ascend", lambda *a: calls.append(a))
+    real_generate = state.generate_state
+    monkeypatch.setattr(state, "generate_state",
+                        lambda *a, **k: drawn.append(a) or real_generate(*a, **k))
     labels_path = tmp_path / "labels.txt"
     labels_path.write_text("".join(WeylLabel(b, 6).to_string() + "\n" for b in range(65)))
-    argv = ["uncertainty", "--kind", "haar", "--n", "6", "--seed", "1"] + (
-        ["--random-labels", "65"] if source == "random" else ["--labels-file", str(labels_path)])
+    argv = ["uncertainty", "--kind", "haar", "--n", "6", "--seed", "1"] + {
+        "random": ["--random-labels", "65"],
+        "file": ["--labels-file", str(labels_path)],
+        "restarts": ["--random-labels", "8", "--restarts", str(uncertainty.RESTART_CAP + 1)],
+    }[source]
     assert cli.main(argv) == 4
     assert "cap exceeded" in capsys.readouterr().err
     assert calls == []
+    assert (drawn == []) == (source == "restarts")
 
 
 def test_theta_csv_format(tmp_path):

@@ -12,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixed_point_round
-from stabkit import graphs
+from stabkit import graphs, uncertainty
 from stabkit.gf2 import (GF2Subspace, WeylLabel, _reduce, _reduce_rows, isotropic_cover,
                          random_subspace, symplectic_form)
 from stabkit.graphs import SimpleGraph, lovasz_theta
 from stabkit.sampling import BellSampler
 from stabkit.state import fwht, generate_state, weyl_distribution, weyl_expectation
-from stabkit.uncertainty import HamiltonianSpec, hamiltonian_norm_sq
+from stabkit.uncertainty import (HamiltonianSpec, hamiltonian_norm_sq, psi0_lower_bound,
+                                 uncertainty_certificate)
 
 # Fixed examples on every run, no example database written to the tree.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -217,3 +218,22 @@ def test_psi0_fixed_point_step_never_lowers_the_norm(case):
     stepped = hamiltonian_norm_sq(HamiltonianSpec(labels, nxt[0]))
     assert stepped >= value[0] - 1e-12
     assert stepped >= value[0] + gap[0] - 1e-12
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << (2 * n)) - 1), min_size=1, max_size=12, unique=True),
+    st.integers(0, 2**32 - 1))))
+def test_certificate_ascent_stops_within_tol_of_the_unceilinged_one(case):
+    # psi0 <= theta <= theta.upper, so stopping at theta.upper - tol loses at most tol.
+    n, bits, seed = case
+    labels = [WeylLabel(b, n) for b in bits]
+    tol = 1e-6
+    cert = uncertainty_certificate(generate_state("haar", n, seed=seed), labels, tol, 4,
+                                   np.random.default_rng(seed))
+    unceilinged = psi0_lower_bound(labels, 4, np.random.default_rng(seed))
+    assert cert.psi0_lb >= unceilinged["value"] - tol
+    assert cert.psi0_lb <= cert.theta.upper + uncertainty._ROUNDOFF
+    if cert.theta.solver == "bounds":  # |I| = theta: the commuting start meets the ceiling
+        assert cert.ascent_steps == 1 and cert.psi0_lb >= cert.theta.value - tol

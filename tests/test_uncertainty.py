@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import fixed_point_round, random_subspace
 from stabkit import uncertainty
 from stabkit.errors import CapExceededError, ValidationError
-from stabkit.gf2 import WeylLabel, parse_labels, symplectic_form
+from stabkit.gf2 import WeylLabel, enumerate_lagrangians, parse_labels, symplectic_form
 from stabkit.state import PureState, generate_state
 from stabkit.uncertainty import (
     HamiltonianSpec,
@@ -177,6 +179,72 @@ def test_certificate_validation():
         uncertainty_certificate(ZERO, [])
     with pytest.raises(ValidationError):
         uncertainty_certificate(ZERO, [WeylLabel(1, 2)])
+    for restarts in (0, uncertainty.RESTART_CAP + 1):
+        with pytest.raises(ValidationError if restarts < 1 else CapExceededError):
+            uncertainty_certificate(ZERO, [X1], restarts=restarts)
+        with pytest.raises(ValidationError if restarts < 1 else CapExceededError):
+            psi0_lower_bound([X1], restarts)
+
+
+def commuting_sets() -> list[list[WeylLabel]]:
+    """{II, XX, YY, ZZ}, then random subsets of random Lagrangians at n = 1..4.
+
+    Each n gives one subset with the identity and one without; a subset of a
+    Lagrangian may be linearly dependent, like the first set.
+    """
+    sets = [[WeylLabel.from_halves(x1, x2, 2) for x1, x2 in [(0, 0), (3, 0), (3, 3), (0, 3)]]]
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 4):
+        lagrangians = list(enumerate_lagrangians(n))
+        for identity in (True, False):
+            nonzero = lagrangians[rng.integers(len(lagrangians))].element_bits[1:]
+            picks = rng.choice(nonzero, size=rng.integers(1, len(nonzero) + 1), replace=False)
+            sets.append([WeylLabel(int(b), n) for b in [0] * identity + sorted(picks)])
+    return sets
+
+
+@pytest.mark.parametrize("labels", commuting_sets(),
+                         ids=["bell"] + [f"n{n}-{i}" for n in (1, 2, 3, 4) for i in ("id", "no-id")])
+def test_commuting_start_attains_the_set_size_in_one_round(labels):
+    # On {II, XX, YY, ZZ} the unsigned start 1/2 (1, 1, 1, 1) gives mu^2 = 1, not 4.
+    m, n = len(labels), labels[0].n
+    start = uncertainty._commuting_start(labels, tuple(range(m)))
+    assert hamiltonian_norm_sq(HamiltonianSpec(tuple(labels), start)) == pytest.approx(
+        m, abs=1e-12 * m)
+    cert = uncertainty_certificate(generate_state("haar", n, seed=m), labels, restarts=8,
+                                   rng=np.random.default_rng(m))
+    assert cert.theta.independent == tuple(range(m))  # the graph has no edge
+    assert cert.psi0_lb == pytest.approx(m, abs=1e-12 * m)
+    assert cert.ascent_steps == 1
+
+
+@pytest.mark.parametrize(
+    "labels, value",
+    [([WeylLabel(b, n) for b in range(1 << (2 * n))], 2.0**n) for n in (1, 2, 3)]
+    + [(jordan_wigner_family(n), 1.0) for n in (1, 2, 3, 4)],
+    ids=[f"full{n}" for n in (1, 2, 3)] + [f"jordan-wigner{n}" for n in (1, 2, 3, 4)],
+)
+def test_certificate_keeps_closed_forms_in_one_round(labels, value):
+    n = labels[0].n
+    cert = uncertainty_certificate(generate_state("haar", n, seed=n), labels, restarts=8,
+                                   rng=np.random.default_rng(n))
+    assert cert.psi0_lb == pytest.approx(value, abs=1e-8)
+    assert cert.theta_ub == pytest.approx(value, abs=1e-5)
+    assert cert.ascent_steps == 1
+
+
+def test_certificate_calls_each_traced_layer_once_through_the_module(monkeypatch):
+    # stabbench's tracer times these layers by patching their names in this module.
+    counts = Counter()
+    for name in ("psi0_lower_bound", "hamiltonian_norm_sq", "lovasz_theta"):
+        def counted(*args, _name=name, _real=getattr(uncertainty, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(uncertainty, name, counted)
+    labels = [WeylLabel(b, 2) for b in (0, 3, 5, 9, 12)]
+    uncertainty_certificate(generate_state("haar", 2, seed=4), labels, restarts=4,
+                            rng=np.random.default_rng(4))
+    assert counts == {"psi0_lower_bound": 1, "hamiltonian_norm_sq": 1, "lovasz_theta": 1}
 
 
 # Trial 35 of the criterion-5 stream (seed 505, drawn at 8 restarts): n = 4, 14 labels,
@@ -197,6 +265,12 @@ def test_certificate_on_the_degenerate_t35_label_set():
     assert cert.theta.converged and cert.theta.solver == "ipm"
     assert cert.psi0_lb <= 5.0 + 1e-9 <= cert.theta_ub + 1e-9
     assert cert.theta.value <= 5.0 <= cert.theta_ub
+    # The interior point's upper bound sits above psi0 = 5, so only the ceiling's
+    # -theta_tol lets the commuting start end the ascent in its first round.
+    assert cert.theta_ub > 5.0 and len(cert.theta.independent) == 5
+    unceilinged = psi0_lower_bound(labels, 8, np.random.default_rng(505))
+    assert unceilinged["steps"] > 1 and cert.ascent_steps == 1
+    assert cert.psi0_lb >= unceilinged["value"] - 1e-6
 
 
 # A criterion-5-like set (n = 4, 20 labels) with a flat maximum psi0 = 6, where the
