@@ -2,20 +2,22 @@
 
 theta(G) = max <J, X> over unit-trace PSD matrices X vanishing on edges;
 its dual is min t subject to tI + sum_e y_e E_e - J PSD.  ``lovasz_theta``
-keeps one certified bracket value <= theta <= upper.  The sandwich
-alpha <= theta <= chi-bar (Lovasz 1979) feeds it first: a greedy independent
-set I gives the primal 1_I 1_I^T / |I| of value |I|, and a clique cover of k
-cliques the dual k(B - I), B the same-clique indicator, whose bound is k.
-Where |I| = k within tol no solver runs; otherwise two solvers follow:
+keeps one certified bracket value <= theta <= upper.  A bounds stage opens it:
 
-* Douglas-Rachford splitting with over-relaxation, one n x n
-  eigendecomposition per iteration whatever |E|, runs first, for a budget
-  of 250 iterations, on graphs above IPM_MAX_ROWS (256) Schur rows, |E| + 1;
-* a primal-dual interior-point method with the HKM direction (Helmberg-
-  Rendl-Vanderbei-Wolkowicz 1996) and Mehrotra's predictor-corrector, about
-  ten iterations of one Schur solve each, closes any bracket still open.
+* the sandwich alpha <= theta <= chi-bar (Lovasz 1979): a greedy
+  independent set I gives the primal 1_I 1_I^T / |I| of value |I|, and a
+  clique cover of k cliques the dual k(B - I), B the same-clique indicator;
+* where those differ by more than tol, Lovasz's eigenvalue pair: the primal
+  (I - Abar/lambda_min(Abar))/n, Abar the complement's adjacency matrix,
+  and the dual xA at the best multiple x of the adjacency matrix A.  The
+  dual meets theta on edge-transitive graphs (Lovasz 1979, Theorem 9); with
+  the primal the pair closes C5 and the Pauli and symplectic graphs.
 
-The lower bound is an exactly feasible matrix repaired from an iterate, the
+One solver closes a bracket still open: a primal-dual interior-point method
+with the HKM direction (Helmberg-Rendl-Vanderbei-Wolkowicz 1996) and
+Mehrotra's predictor-corrector, about ten iterations of one Schur solve each.
+
+The lower bound is an exactly feasible matrix repaired from a candidate, the
 upper bound lambda_max(J - sum_e y_e E_e), which bounds theta for any edge
 weights y; ``uncertainty_certificate`` compares against the upper one.
 """
@@ -30,7 +32,6 @@ from .errors import CapExceededError, ValidationError
 from .gf2 import RANDOM_QUBIT_CAP, WeylLabel, _form_bits, label_batch_qubits
 
 __all__ = [
-    "IPM_MAX_ROWS",
     "THETA_ORDER_CAP",
     "SimpleGraph",
     "ThetaResult",
@@ -181,13 +182,13 @@ class ThetaResult:
     """A certified bracket value <= theta <= upper, and how it was found.
 
     ``value`` is the objective of ``primal_matrix``, an exactly feasible
-    point; ``upper`` is lambda_max(J - M) for an edge-supported dual M.
-    ``converged`` says the bracket is no wider than the requested tol;
-    ``solver`` names the path that ran last, which closed the bracket if
-    any did, and ``iterations`` counts the iterations of both paths.  It is
-    "bounds", with 0 iterations, when the independent set and the clique
-    cover alone closed the bracket, which fixes theta to an integer.
-    ``independent`` is that greedy independent set I, |I| <= alpha <= theta.
+    point; ``upper`` is lambda_max(J - M) for an edge-supported dual M,
+    raised to ``value`` where eigvalsh roundoff leaves it below.
+    ``converged`` says the bracket is no wider than the requested tol.
+    ``solver`` is "bounds", with 0 iterations, when the bounds stage closed
+    the bracket, and "ipm" when the interior-point method ran after it;
+    ``iterations`` counts that method's iterations.  ``independent`` is the
+    greedy independent set I of the bounds stage, |I| <= alpha <= theta.
     """
 
     value: float
@@ -196,7 +197,7 @@ class ThetaResult:
     residuals: dict
     iterations: int
     converged: bool
-    solver: str  # "bounds", "dr" or "ipm"
+    solver: str  # "bounds" or "ipm"
     independent: tuple[int, ...]
 
     @property
@@ -241,17 +242,20 @@ class _Bracket:
     def gap(self) -> float:
         return self.upper - self.lower
 
-    def update(self, x: np.ndarray, dual_edge: np.ndarray) -> float:
-        """Fold in the bounds of a primal iterate and an edge-supported dual; the gap."""
-        ones = np.ones(x.shape)
-        self.upper = min(self.upper, float(np.linalg.eigvalsh(ones - dual_edge)[-1]))
-        repaired, value = _certified_feasible(x, self.edges)
-        if value > self.lower:
-            self.lower, self.matrix = value, repaired
+    def update(self, x: np.ndarray | None = None, dual_edge: np.ndarray | None = None) -> float:
+        """Fold in a primal candidate and an edge-supported dual, either optional; the gap."""
+        if dual_edge is not None:
+            ones = np.ones(dual_edge.shape)
+            self.upper = min(self.upper, float(np.linalg.eigvalsh(ones - dual_edge)[-1]))
+        if x is not None:
+            repaired, value = _certified_feasible(x, self.edges)
+            if value > self.lower:
+                self.lower, self.matrix = value, repaired
+        self.upper = max(self.upper, self.lower)  # eigvalsh roundoff can invert a closed bracket
         return self.gap
 
 
-# --- Sandwich bounds: alpha <= theta <= chi-bar, before any solver ------------
+# --- Bounds stage: the sandwich alpha <= theta <= chi-bar, then the eigenvalue pair
 
 
 def _independent_set_and_cliques(edges: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -300,9 +304,53 @@ def _sandwich_bounds(edges: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarr
     return independent, primal, float(clique_of.max() + 1) * same_clique
 
 
+def _eigenvalue_pair(edges: np.ndarray, tol: float, bracket: _Bracket) -> None:
+    """Fold Lovasz's eigenvalue primal, then his eigenvalue dual, into ``bracket``.
+
+    The primal X = (I - Abar/lambda_min(Abar))/n, Abar the complement's
+    adjacency matrix, is zero on edges, has trace 1 and is PSD; where Abar
+    has no edge it is I/n.  The dual M = xA bounds theta by f(x) =
+    lambda_max(J - xA), convex in x with subgradient -v^T A v at a top
+    eigenvector v.  Its minimum lies in [0, n]: f(0) = n, and f(x) >=
+    x |lambda_min(A)| >= x once A has an edge.  Bisection on the
+    subgradient's sign keeps the supporting lines at both ends of the
+    interval, which meet below min f.  It stops once that floor exceeds the
+    lower end plus tol, once its best f is within tol of the lower end, or
+    once the interval stops shrinking.  The primal goes first, so that the
+    search tests against its lower end.
+    """
+    order = edges.shape[0]
+    adjacency = edges.astype(float)
+    complement = 1.0 - np.eye(order) - adjacency
+    lowest = float(np.linalg.eigvalsh(complement)[0])  # 0 only when the complement has no edge
+    primal = np.eye(order) - (complement / lowest if lowest < 0.0 else 0.0)
+    if bracket.update(primal / order) <= tol:
+        return
+    ones = np.ones((order, order))
+
+    def probe(x: float) -> tuple[float, float, float]:  # x, f(x) and a subgradient there
+        vals, vecs = np.linalg.eigh(ones - x * adjacency)
+        return x, float(vals[-1]), -float(vecs[:, -1] @ adjacency @ vecs[:, -1])
+
+    # At x = 0 the top eigenvector of J is the uniform one.
+    ends = [(0.0, float(order), -float(adjacency.sum()) / order), probe(float(order))]
+    best = min(ends, key=lambda e: e[1])
+    while True:
+        (lo, f_lo, g_lo), (hi, f_hi, g_hi) = ends
+        slope = g_hi - g_lo
+        floor = f_lo + g_lo * (f_lo - f_hi + g_hi * (hi - lo)) / slope if slope > 0.0 else best[1]
+        mid = 0.5 * (lo + hi)
+        if (min(best[1], bracket.upper) - bracket.lower <= tol or floor > bracket.lower + tol
+                or not lo < mid < hi):
+            break
+        end = probe(mid)
+        best = min(best, end, key=lambda e: e[1])
+        ends[end[2] >= 0.0] = end
+    bracket.update(dual_edge=best[0] * adjacency)
+
+
 # --- Interior-point path: |E| + 1 Schur rows per iteration ---------------------
 
-IPM_MAX_ROWS = 256  # Schur rows |E| + 1 up to which the interior-point path runs alone
 _IPM_MAX_ITERATIONS = 50
 _IPM_STEP_FRACTION = 0.95  # of the distance to the PSD boundary
 _SOLVE_BLOCK = 64  # edge rows per block of the Schur build
@@ -395,64 +443,14 @@ def _theta_ipm(edges: np.ndarray, tol: float, bracket: _Bracket) -> int:
     return iterations
 
 
-# --- Douglas-Rachford path: O(n^3) per iteration, tried first on dense graphs --
-
-# Douglas-Rachford's budget before the interior-point path takes over, about
-# 0.15 s at order 64.  Where it beats the interior-point path, it closes within
-# 200 iterations (K_n in 50, the full 3-qubit Pauli graph in 150); a graph it
-# has not closed by then may need tens of thousands, whatever its density.
-_DR_MAX_ITERATIONS = 250
-_DR_RELAXATION = 1.8
-_DR_CHECK_EVERY = 50
-
-
-def _project_affine(mat: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Nearest matrix with zero edges and unit trace (symmetrized)."""
-    out = 0.5 * (mat + mat.T)
-    out[edges] = 0.0
-    out[np.diag_indices_from(out)] -= (np.trace(out) - 1.0) / out.shape[0]
-    return out
-
-
-def _project_psd(mat: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix."""
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    return (vecs * np.maximum(vals, 0.0)) @ vecs.T
-
-
-def _theta_dr(edges: np.ndarray, tol: float, bracket: _Bracket) -> int:
-    """Over-relaxed Douglas-Rachford splitting, step 1/n.
-
-    It alternates the PSD-cone projection against the proximal step of the
-    affine set {symmetric, unit trace, zero on edges}, into which the linear
-    objective is folded.  Every _DR_CHECK_EVERY iterations the affine prox
-    residual gives an edge-supported dual candidate for ``bracket``.  Returns
-    the iterations taken: until the bracket is within tol, at most _DR_MAX_ITERATIONS.
-    """
-    order = edges.shape[0]
-    step = 1.0 / order
-    drift = np.full((order, order), step)
-    z = np.eye(order) / order
-    for iterations in range(1, _DR_MAX_ITERATIONS + 1):
-        x = _project_affine(z + drift, edges)
-        affine_residual = z + drift - x  # supported on edges + the trace direction
-        z += _DR_RELAXATION * (_project_psd(2.0 * x - z) - x)
-        if iterations % _DR_CHECK_EVERY == 0:
-            dual_edge = np.where(edges, affine_residual, 0.0) / step
-            if bracket.update(x, 0.5 * (dual_edge + dual_edge.T)) <= tol:
-                return iterations
-    return _DR_MAX_ITERATIONS
-
-
 def lovasz_theta(g: SimpleGraph, tol: float = 1e-6) -> ThetaResult:
     """Certified bracket on theta of a dense graph of order <= 64.
 
-    The sandwich bounds open the bracket; if they are within tol, no solver
-    runs.  Otherwise graphs with more than IPM_MAX_ROWS Schur rows, |E| + 1,
-    run Douglas-Rachford for at most _DR_MAX_ITERATIONS.  If the bracket is
-    then still wider than tol, or the graph is smaller, the interior-point
-    path runs and folds its iterates into the same bracket.  A bracket that
-    ends wider than tol is returned with converged=False.
+    The sandwich bounds open the bracket.  If they differ by more than tol,
+    the eigenvalue pair follows, and if the bracket is still wider than tol,
+    the interior-point path runs and folds its iterates into the same
+    bracket.  A bracket that ends wider than tol is returned with
+    converged=False.
     """
     check_theta_order(g.order)
     if not 1e-8 <= tol <= 1e-3:
@@ -460,11 +458,10 @@ def lovasz_theta(g: SimpleGraph, tol: float = 1e-6) -> ThetaResult:
     edges = g.adjacency
     bracket, iterations, solver = _Bracket(edges), 0, "bounds"
     independent, *pair = _sandwich_bounds(edges)
-    bracket.update(*pair)
-    if bracket.gap > tol and g.edge_count + 1 > IPM_MAX_ROWS:
-        iterations, solver = _theta_dr(edges, tol, bracket), "dr"
+    if bracket.update(*pair) > tol:
+        _eigenvalue_pair(edges, tol, bracket)
     if bracket.gap > tol:
-        iterations, solver = iterations + _theta_ipm(edges, tol, bracket), "ipm"
+        iterations, solver = _theta_ipm(edges, tol, bracket), "ipm"
     repaired = bracket.matrix
     residuals = {  # 0.0 first in max: an exact zero eigenvalue reads 0.0, not -0.0
         "psd_violation": max(0.0, -float(np.linalg.eigvalsh(repaired)[0])),

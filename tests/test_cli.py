@@ -222,6 +222,22 @@ def test_uncertainty_labels_file(tmp_path):
     assert doc["lhs"] <= 1.0 + 1e-9  # mutually anticommuting triple
 
 
+def test_uncertainty_on_all_three_qubit_labels_closes_theta_in_the_bounds_stage(tmp_path):
+    from stabkit.gf2 import format_label_bits
+
+    labels_path = tmp_path / "full3.txt"
+    labels_path.write_text(format_label_bits(np.arange(64), 3))
+    code, payload = run_to_file(
+        tmp_path, "full3.json",
+        ["uncertainty", "--kind", "haar", "--n", "3", "--seed", "3", "--labels-file",
+         str(labels_path)],
+    )
+    assert code == 0
+    doc = json.loads(payload)
+    assert doc["summary"]["theta_iterations"] == 0 and doc["summary"]["theta_solver"] == "bounds"
+    assert doc["results"]["theta_ub"] == pytest.approx(8.0, abs=1e-6)  # Parseval: 2^n
+
+
 def test_theta_graph_file(tmp_path):
     from stabkit.graphs import cycle_graph, format_graph
 
@@ -241,7 +257,8 @@ def test_theta_and_uncertainty_report_the_bracket(tmp_path):
     assert list(res) == ["value", "order", "iterations", "residuals", "upper", "gap", "converged"]
     assert res["value"] <= 5**0.5 <= res["upper"] <= res["value"] + 1e-6
     assert res["gap"] == res["upper"] - res["value"] and res["converged"] is True
-    assert res["iterations"] >= 1  # alpha(C5) = 2 < sqrt(5) < 3: only a solver closes it
+    # alpha(C5) = 2 < sqrt(5) < 3, but C5 is edge-transitive: the eigenvalue pair closes it.
+    assert res["iterations"] == 0
 
     code, payload = run_to_file(
         tmp_path, "u.json",
@@ -252,7 +269,7 @@ def test_theta_and_uncertainty_report_the_bracket(tmp_path):
     summary = doc["summary"]
     assert list(summary) == ["theta_lower", "theta_gap", "theta_iterations", "theta_solver",
                              "ascent_steps"]
-    assert summary["theta_solver"] in ("bounds", "dr", "ipm")
+    assert summary["theta_solver"] in ("bounds", "ipm")
     assert (summary["theta_iterations"] == 0) == (summary["theta_solver"] == "bounds")
     assert summary["theta_lower"] <= doc["results"]["theta_ub"] <= summary["theta_lower"] + 1e-6
     assert summary["theta_gap"] == doc["results"]["theta_ub"] - summary["theta_lower"]

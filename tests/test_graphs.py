@@ -118,39 +118,26 @@ def test_theta_golden_values():
 def test_theta_c5_two_solver_configurations():
     a = lovasz_theta(cycle_graph(5), tol=1e-7)
     b = graphs._Bracket(cycle_graph(5).adjacency)
-    graphs._theta_dr(b.edges, 1e-7, b)  # Douglas-Rachford alone
-    assert a.solver == "ipm" and b.gap <= 1e-7
+    graphs._theta_ipm(b.edges, 1e-7, b)  # the interior-point method alone
+    assert (a.solver, a.iterations) == ("bounds", 0) and b.gap <= 1e-7
     assert a.value == pytest.approx(b.lower, abs=1e-6)
     assert a.value == pytest.approx(np.sqrt(5), abs=1e-6)
 
 
-def test_theta_solver_chosen_by_schur_rows():
-    # alpha(K_m) = chi-bar(K_m) = 1, so the sandwich bounds close K_m on either side of
-    # the threshold (254, 277, 781 and 2,017 Schur rows |E| + 1) before any solver runs.
+def test_theta_solver_chosen_by_the_bounds_stage():
+    # alpha(K_m) = chi-bar(K_m) = 1, so the sandwich closes K_m at any order.
     for m in (23, 24, 40, 64):
         result = lovasz_theta(complete_graph(m))
         assert (result.solver, result.iterations, result.converged) == ("bounds", 0, True)
         assert result.value <= 1.0 <= result.upper
-    # theta(C5 x C7) = sqrt(5) theta(C7) is no integer, so the bounds leave it open:
-    # 141 rows take the interior-point path.
+    # theta(C5 x C7) = sqrt(5) theta(C7), and the eigenvalue primal falls short of it
+    # on C7, so the bounds stage leaves the product open for the interior-point path.
     product = compose_graphs("strong_product", cycle_graph(5), cycle_graph(7))
-    assert product.edge_count + 1 <= graphs.IPM_MAX_ROWS
     result = lovasz_theta(product)
     assert result.solver == "ipm" and result.converged
+    assert 1 <= result.iterations <= graphs._IPM_MAX_ITERATIONS
     theta_c7 = 7 * np.cos(np.pi / 7) / (1 + np.cos(np.pi / 7))
     assert result.value <= np.sqrt(5) * theta_c7 <= result.upper
-    # The slowest of the graphs on which Douglas-Rachford once beat the interior-point
-    # path by 5x or more: the fourth of these dense draws, which it closes in 200.
-    rng = np.random.default_rng(5)
-    draws = [rand_graph(rng, int(rng.integers(40, 65)), float(rng.uniform(0.8, 0.97)))
-             for _ in range(4)]
-    assert (draws[3].order, draws[3].edge_count) == (64, 1794)
-    for dense, theta in [(pauli_group_graph(3), 8.0), (draws[3], None)]:  # 1,009, 1,795 rows
-        result = lovasz_theta(dense)
-        assert result.solver == "dr" and result.converged
-        assert 1 <= result.iterations <= graphs._DR_MAX_ITERATIONS
-        if theta is not None:
-            assert result.value <= theta <= result.upper
 
 
 def test_sandwich_bounds_close_complete_and_empty_graphs_only():
@@ -160,17 +147,47 @@ def test_sandwich_bounds_close_complete_and_empty_graphs_only():
             assert (result.solver, result.iterations, result.converged) == ("bounds", 0, True)
             assert result.value == pytest.approx(theta, abs=1e-9)
             assert result.upper == pytest.approx(theta, abs=1e-9)
-    for cycle in (cycle_graph(5), cycle_graph(7)):  # alpha < theta < chi-bar
-        result = lovasz_theta(cycle)
-        assert result.solver == "ipm" and result.iterations >= 1
+    # alpha < theta < chi-bar = alpha + 1 on odd cycles: the sandwich leaves them open.
+    for cycle, alpha in ((cycle_graph(5), 2.0), (cycle_graph(7), 3.0)):
+        bracket = graphs._Bracket(cycle.adjacency)
+        _, *pair = graphs._sandwich_bounds(cycle.adjacency)
+        assert bracket.update(*pair) == pytest.approx(1.0)
+        assert bracket.lower == pytest.approx(alpha)
+
+
+# theta of the Pauli graph on all 4^k labels is 2^k; of the symplectic graph, 2^k + 1.
+EDGE_TRANSITIVE = [(complete_graph(m), 1.0) for m in (2, 7, 64)] + [
+    (cycle_graph(5), np.sqrt(5))] + [
+    (pauli_group_graph(k), float(1 << k)) for k in (1, 2, 3)] + [
+    (symplectic_graph(k), float((1 << k) + 1)) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("g, theta", EDGE_TRANSITIVE, ids=[
+    "K2", "K7", "K64", "C5", "pauli1", "pauli2", "pauli3", "symplectic1", "symplectic2",
+    "symplectic3"])
+def test_bounds_stage_closes_edge_transitive_graphs(g, theta):
+    result = lovasz_theta(g, 1e-6)
+    assert (result.solver, result.iterations, result.converged) == ("bounds", 0, True)
+    assert result.value <= theta + 1e-9 and theta <= result.upper + 1e-9
+    assert result.gap <= 1e-6
+
+
+def test_eigenvalue_primal_needs_the_complement_to_have_an_edge():
+    # The complement of K_m has no edge, so lambda_min of its adjacency matrix is 0
+    # and the primal is I/n, of value 1 = theta(K_m).
+    for m in (1, 2, 5):
+        bracket = graphs._Bracket(complete_graph(m).adjacency)
+        graphs._eigenvalue_pair(bracket.edges, 1e-6, bracket)
+        assert bracket.lower == pytest.approx(1.0, abs=1e-12)
+        assert bracket.upper == pytest.approx(1.0, abs=1e-6)
 
 
 def _handoff_graphs() -> list[SimpleGraph]:
-    """Graphs above the interior-point threshold on which Douglas-Rachford is slow or fast.
+    """Dense graphs that the bounds stage leaves open for the interior-point path.
 
     Twelve random graphs of orders 40-64 and densities 0.3-0.8, and the
     anti-commutation graph of `uncertainty --kind haar --n 6 --random-labels 40
-    --seed 1` (379 edges), on which Douglas-Rachford alone once ran 50,000
+    --seed 1` (379 edges), on which a Douglas-Rachford solver once ran 50,000
     iterations without closing the bracket to 1e-6.
     """
     rng = np.random.default_rng(11)
@@ -183,18 +200,11 @@ def _handoff_graphs() -> list[SimpleGraph]:
 
 
 def test_theta_hands_an_open_bracket_to_the_interior_point_method():
-    budget = graphs._DR_MAX_ITERATIONS
-    solvers = []
     for g in _handoff_graphs():
-        assert g.edge_count + 1 > graphs.IPM_MAX_ROWS
         result = lovasz_theta(g, 1e-6)
         assert result.converged and result.gap <= 1e-6
-        if result.solver == "dr":
-            assert result.iterations <= budget
-        else:  # the whole budget on Douglas-Rachford, then the interior-point iterations
-            assert 1 <= result.iterations - budget <= graphs._IPM_MAX_ITERATIONS
-        solvers.append(result.solver)
-    assert solvers[-1] == "ipm" and "dr" in solvers
+        assert result.solver == "ipm"
+        assert 1 <= result.iterations <= graphs._IPM_MAX_ITERATIONS
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-7, 1e-6, 1e-5, 1e-3])

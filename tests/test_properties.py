@@ -167,17 +167,46 @@ def _greedy_clique_cover(adj: np.ndarray) -> int:
 @given(small_graphs())
 def test_theta_solvers_give_overlapping_certified_brackets(g):
     theta = lovasz_theta(g, 1e-6)
-    ipm, dr = graphs._Bracket(g.adjacency), graphs._Bracket(g.adjacency)
+    ipm, eigen = graphs._Bracket(g.adjacency), graphs._Bracket(g.adjacency)
     graphs._theta_ipm(g.adjacency, 1e-6, ipm)  # the interior-point method alone
-    graphs._theta_dr(g.adjacency, 1e-3, dr)  # Douglas-Rachford alone
+    _, *pair = graphs._sandwich_bounds(g.adjacency)
+    if eigen.update(*pair) > 1e-6:  # the bounds stage alone, as lovasz_theta runs it
+        graphs._eigenvalue_pair(g.adjacency, 1e-6, eigen)
     assert ipm.gap <= 1e-6
-    brackets = [(theta.value, theta.upper), (ipm.lower, ipm.upper), (dr.lower, dr.upper)]
+    brackets = [(theta.value, theta.upper), (ipm.lower, ipm.upper), (eigen.lower, eigen.upper)]
     for lower, upper in brackets:
         assert lower <= upper
         assert _independence_number(g.adjacency) <= upper + 1e-9
         assert lower <= _greedy_clique_cover(g.adjacency) + 1e-9
     for (lower, upper), (other_lower, other_upper) in itertools.combinations(brackets, 2):
         assert lower <= other_upper + 1e-9 and other_lower <= upper + 1e-9
+
+
+@PROPERTY
+@given(small_graphs())
+def test_eigenvalue_pair_meets_its_closed_forms_within_the_interior_point_bracket(g):
+    adj = g.adjacency
+    ipm = graphs._Bracket(adj)
+    graphs._theta_ipm(adj, 1e-6, ipm)
+    # The primal (I - Abar/lambda_min)/n has value 1 - 2|Ebar| / (n lambda_min(Abar)).
+    complement = ~adj & ~np.eye(g.order, dtype=bool)
+    lowest = np.linalg.eigvalsh(complement.astype(float))[0]
+    primal_value = 1.0 - complement.sum() / (g.order * lowest) if complement.any() else 1.0
+    alone = graphs._Bracket(adj)  # its lower end can come from the primal only
+    graphs._eigenvalue_pair(adj, 1e-6, alone)
+    assert alone.lower == pytest.approx(primal_value, abs=1e-9)
+    assert alone.lower <= ipm.upper + 1e-9
+    # After the sandwich, as in lovasz_theta: the better primal, and a dual between
+    # the interior-point lower end and the clique cover.
+    independent, *pair = graphs._sandwich_bounds(adj)
+    staged = graphs._Bracket(adj)
+    staged.update(*pair)
+    cover = staged.upper
+    graphs._eigenvalue_pair(adj, 1e-6, staged)
+    assert staged.lower == pytest.approx(max(len(independent), primal_value), abs=1e-9)
+    assert ipm.lower - 1e-9 <= staged.upper <= cover
+    if staged.gap <= 1e-6:  # closed by the bounds stage: the solver's theta within tol
+        assert abs(staged.lower - ipm.lower) <= 2e-6
 
 
 @PROPERTY
@@ -235,5 +264,6 @@ def test_certificate_ascent_stops_within_tol_of_the_unceilinged_one(case):
     unceilinged = psi0_lower_bound(labels, 4, np.random.default_rng(seed))
     assert cert.psi0_lb >= unceilinged["value"] - tol
     assert cert.psi0_lb <= cert.theta.upper + uncertainty._ROUNDOFF
-    if cert.theta.solver == "bounds":  # |I| = theta: the commuting start meets the ceiling
+    # |I| = theta to within tol: the commuting start meets the ceiling.
+    if abs(cert.theta.value - len(cert.theta.independent)) <= tol:
         assert cert.ascent_steps == 1 and cert.psi0_lb >= cert.theta.value - tol
