@@ -415,13 +415,16 @@ def pad_with_zeros(state: PureState, extra: int) -> PureState:
 # ---------------------------------------------------------------------------
 
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
 def _apply_h(amps: np.ndarray, bit: int) -> None:
     view = amps.reshape(-1, 2, 1 << bit)
-    a = view[:, 0, :].copy()
-    b = view[:, 1, :].copy()
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    view[:, 0, :] = (a + b) * inv_sqrt2
-    view[:, 1, :] = (a - b) * inv_sqrt2
+    a, b = view[:, 0, :], view[:, 1, :]
+    total = a + b
+    np.subtract(a, b, out=b)
+    np.multiply(total, _INV_SQRT2, out=a)
+    b *= _INV_SQRT2
 
 
 def _apply_s(amps: np.ndarray, bit: int) -> None:
@@ -429,9 +432,17 @@ def _apply_s(amps: np.ndarray, bit: int) -> None:
     view[:, 1, :] *= 1j
 
 
+@lru_cache(maxsize=None)  # at most n(n - 1) read-only arrays per n <= STATE_QUBIT_CAP
+def _cnot_gather(size: int, control: int, target: int) -> np.ndarray:
+    """The index z ^ (z_control << target): entry z of CNOT|psi> is psi at it."""
+    idx = np.arange(size)
+    gather = idx ^ (((idx >> control) & 1) << target)
+    gather.setflags(write=False)
+    return gather
+
+
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    idx = np.arange(amps.size)
-    amps[:] = amps[idx ^ (((idx >> control) & 1) << target)]
+    amps[:] = amps[_cnot_gather(amps.size, control, target)]
 
 
 def _random_clifford_state(n: int, rng: np.random.Generator) -> PureState:

@@ -17,7 +17,8 @@ import numpy as np  # noqa: E402
 
 import stabkit.gf2 as gf2  # noqa: E402
 from stabkit.gf2 import GF2Subspace, WeylLabel  # noqa: E402
-from stabkit.state import PureState, weyl_matrices  # noqa: E402
+from stabkit.oracle import FidelityReport, _lagrangian_table  # noqa: E402
+from stabkit.state import BLOCK, PureState, fwht, weyl_matrices  # noqa: E402
 from stabkit.uncertainty import _fixed_point_round  # noqa: E402
 
 
@@ -78,6 +79,32 @@ def reference_dyadic_self_convolution(values: np.ndarray) -> np.ndarray:
     spectrum = spectrum * spectrum
     out = reference_fwht(spectrum)
     return out / values.size
+
+
+def reference_clifford_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The amplitudes of ``state._random_clifford_state``, gate by gate on fresh arrays.
+
+    Same draws in the same order: a gate kind, then its qubit, or two
+    distinct qubits for a CNOT.  H copies both halves before it writes, and
+    CNOT builds its gather index at every gate; the package must match this
+    bit for bit and leave the generator at the same point.
+    """
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[0] = 1.0
+    for _ in range(20 * n * n):
+        kind = rng.integers(3 if n > 1 else 2)
+        if kind == 0:
+            view = amps.reshape(-1, 2, 1 << int(rng.integers(n)))
+            a, b = view[:, 0, :].copy(), view[:, 1, :].copy()
+            view[:, 0, :] = (a + b) * (1.0 / np.sqrt(2.0))
+            view[:, 1, :] = (a - b) * (1.0 / np.sqrt(2.0))
+        elif kind == 1:
+            amps.reshape(-1, 2, 1 << int(rng.integers(n)))[:, 1, :] *= 1j
+        else:
+            control, target = rng.choice(n, size=2, replace=False)
+            idx = np.arange(amps.size)
+            amps = amps[idx ^ (((idx >> int(control)) & 1) << int(target))]
+    return amps
 
 
 def graph_state(n: int, rng: np.random.Generator) -> PureState:
@@ -141,6 +168,45 @@ def bfs_lagrangians(n: int) -> tuple[GF2Subspace, ...]:
                 nxt.add(gf2._reduce_rows(basis + (cand,)))
         level = nxt
     return tuple(GF2Subspace(b, n) for b in sorted(level))
+
+
+def sign_table(sign_bits: np.ndarray, n: int) -> np.ndarray:
+    """The base signs +-1.0 of each row, from its packed bits (bit c set where sign[c] = -1)."""
+    return np.where((sign_bits[:, None] >> np.arange(1 << n)) & 1, -1.0, 1.0)
+
+
+def reference_fidelity_exact(state: PureState) -> FidelityReport:
+    """The exact oracle as a full pass: every Lagrangian transformed, the first maximum kept.
+
+    Each row's 2^n character fidelities are one transform of its float signs
+    times its members' expectations, over 2^n, in blocks of BLOCK entries.
+    ``oracle.stabilizer_fidelity_exact`` transforms only the rows its mass
+    bound keeps and must match this bit for bit.
+    """
+    n, expect = state.n, state.expectations
+    bases, elements, sign_bits = _lagrangian_table(n)
+    per_row = np.empty(len(bases))
+    characters = np.empty(len(bases), dtype=np.intp)
+    step = BLOCK >> n
+    for lo in range(0, len(bases), step):
+        rows = slice(lo, lo + step)
+        fidelities = fwht(sign_table(sign_bits[rows], n) * expect[elements[rows]]) / (1 << n)
+        characters[rows] = fidelities.argmax(axis=1)
+        per_row[rows] = fidelities[np.arange(len(fidelities)), characters[rows]]
+    best = int(np.argmax(per_row))
+    return FidelityReport(
+        f_s=float(per_row[best]),
+        argmax_lagrangian=GF2Subspace(bases[best].tolist(), n),
+        argmax_character=int(characters[best]),
+    )
+
+
+def product_state(qubits: list[np.ndarray]) -> PureState:
+    """The tensor product of single-qubit amplitude pairs, in np.kron order."""
+    amps = np.array([1.0], dtype=np.complex128)
+    for q in qubits:
+        amps = np.kron(amps, q)
+    return PureState(amps, len(qubits))
 
 
 def fixed_point_round(labels: list[WeylLabel], a: np.ndarray):
