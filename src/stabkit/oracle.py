@@ -101,13 +101,13 @@ def _require_lagrangian(V: GF2Subspace) -> None:
 def _elements_and_signs(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed members and base sign patterns of many commuting groups at once.
 
-    ``bases`` holds one generator list per row.  Entry c of a row is the
-    product of W_(b_i) over the set bits i of c, which equals
-    sign[c] * W_(elements[c]); the generators commute, so the products are
-    Hermitian and every sign is +-1.  Columns double one generator at a
-    time: appending b_j maps (e, t) to (e ^ b_j, t + phase(b_j, e)).  A
-    row's signs come back as one uint32 (2^n <= 32 bits): bit c is set
-    where sign[c] = -1.
+    ``bases`` holds k <= n commuting generators per row, isotropic or
+    Lagrangian.  Entry c of a row is the product of W_(b_i) over the set
+    bits i of c, which equals sign[c] * W_(elements[c]); the generators
+    commute, so the products are Hermitian and every sign is +-1.  Columns
+    double one generator at a time: appending b_j maps (e, t) to
+    (e ^ b_j, t + phase(b_j, e)).  The signs come back as a bool array of
+    the elements' shape, True where sign[c] = -1.
     """
     elements = np.zeros((bases.shape[0], 1), dtype=np.int64)
     phase_exp = np.zeros_like(elements)
@@ -118,8 +118,7 @@ def _elements_and_signs(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
         phase_exp = np.concatenate((phase_exp, (phase_exp + step) % 4), axis=1)
     if np.any(phase_exp % 2):
         raise CertificateError("non-Hermitian product in a commuting group (engine bug)")
-    negative = (phase_exp >> 1).astype(np.uint32) << np.arange(1 << n, dtype=np.uint32)
-    return elements, np.bitwise_or.reduce(negative, axis=1)
+    return elements, phase_exp == 2
 
 
 @lru_cache(maxsize=8)
@@ -128,13 +127,14 @@ def _lagrangian_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Rows are ``gf2._lagrangian_bases(n)``, sorted by basis, so argmax
     tie-breaks are lexicographic; all rows' elements and signs come from one
-    vectorized doubling pass.  The signs stay packed, one uint32 per row, and
-    are expanded only for the rows that get transformed: at n = 5 the table
-    holds 21.7 MiB (bases 2.9, elements 18.5, signs 0.3).
+    vectorized doubling pass.  The signs are packed, one uint32 per row (bit c
+    set where sign[c] = -1), and expanded only for the rows that get
+    transformed: at n = 5 the table holds 21.7 MiB (bases 2.9, elements 18.5).
     """
     bases = _lagrangian_bases(n)
-    elements, sign_bits = _elements_and_signs(bases, n)
-    return bases, elements, sign_bits
+    elements, negative = _elements_and_signs(bases, n)
+    bits = negative.astype(np.uint32) << np.arange(1 << n, dtype=np.uint32)
+    return bases, elements, np.bitwise_or.reduce(bits, axis=1)
 
 
 def _character_fidelities(
@@ -144,7 +144,7 @@ def _character_fidelities(
 
     A row is one commuting group: its members ``elements`` and its base
     signs ``sign_bits`` (bit c set where sign[c] = -1), as
-    ``_elements_and_signs`` gives them.  The 2^n character fidelities are
+    ``_lagrangian_table`` packs them.  The 2^n character fidelities are
     one Walsh-Hadamard transform of the signed expectations, over 2^n.
     """
     signed = expect[elements]

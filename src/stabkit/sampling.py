@@ -124,7 +124,7 @@ def plan_test(eps1: float, eps2: float, C: float, delta: float) -> TestPlan:
         raise ValidationError(f"eps1 must be in (0,1], got {eps1}")
     if not 0.0 <= eps2 < 1.0:
         raise ValidationError(f"eps2 must be in [0,1), got {eps2}")
-    if C <= 0.0:
+    if not 0.0 < C < math.inf:
         raise ValidationError(f"C must be positive, got {C}")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must be in (0,1), got {delta}")

@@ -177,10 +177,11 @@ class DyadicTable:
                 f"expected {1 << (2 * self.n)} entries for n={self.n}, got {vals.shape}"
             )
         if self.kind in ("char_dist", "weyl_dist"):
-            if vals.min() < 0.0:
-                raise ValidationError(f"{self.kind} has a negative entry: {vals.min()!r}")
+            low = vals.min()  # NaN if any entry is NaN, and NaN fails every comparison
+            if not low >= 0.0:
+                raise ValidationError(f"{self.kind} has a negative or NaN entry: {low!r}")
             total = float(vals.sum())
-            if abs(total - 1.0) > 1e-10:
+            if not abs(total - 1.0) <= 1e-10:
                 raise ValidationError(f"{self.kind} sums to {total!r}, not 1 within 1e-10")
         if self.kind == "char_dist" and vals.max() > 2.0 ** (-self.n) + 1e-12:
             raise ValidationError(

@@ -10,9 +10,10 @@ mu(a')^2 >= <v|H(a')|v>^2 = |g|^2 >= (a.g)^2 = mu(a)^2.
 
 ``uncertainty_certificate`` brackets theta first; theta draws no random
 numbers.  Both ends of its sandwich then serve the ascent.  A commuting set I
-(theta's greedy independent set) attains |I| <= psi0 through one signed start,
-and the ascent stops every start once its best mu^2 reaches theta's certified
-upper bound less theta_tol, where psi0 is already fixed to within theta_tol.
+(theta's greedy independent set) attains |I| <= psi0 through one start, signed
+by ``oracle._elements_and_signs``, and the ascent stops every start once its
+best mu^2 reaches theta's certified upper bound less theta_tol, where psi0 is
+already fixed to within theta_tol.  The witness bound reads round 1's mu^2.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, CertificateError, ValidationError
-from .gf2 import WeylLabel, label_batch_qubits
+from .gf2 import WeylLabel, _reduce_rows, label_batch_qubits
 from .graphs import ThetaResult, anticommutation_graph, check_theta_order, lovasz_theta
-from .state import PureState, _weyl_nonzeros, weyl_matrices
+from .oracle import _elements_and_signs
+from .state import PureState, weyl_matrices
 
 __all__ = [
     "HAMILTONIAN_QUBIT_CAP",
@@ -86,7 +88,7 @@ class HamiltonianSpec:
         if coeffs.shape != (len(self.labels),):
             raise ValidationError("coefficient count does not match label count")
         norm = float(np.linalg.norm(coeffs))
-        if abs(norm - 1.0) > _COEFF_NORM_TOL:
+        if not abs(norm - 1.0) <= _COEFF_NORM_TOL:
             raise ValidationError(f"coefficient norm {norm!r} is not 1 within {_COEFF_NORM_TOL}")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
@@ -127,7 +129,7 @@ def _fixed_point_round(flat: np.ndarray, flat_conj: np.ndarray, dim: int,
 
 
 def _ascend(mats: np.ndarray, starts: np.ndarray,
-            ceiling: float = np.inf) -> tuple[np.ndarray, np.ndarray, int]:
+            ceiling: float = np.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Fixed-point ascent of mu(a)^2 on the coefficient sphere from every start, in lockstep.
 
     The plain step a' = mu g / |mu g| never lowers mu^2, since
@@ -137,7 +139,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray,
     the plain step from the last accepted point.  A start stops at an accepted point
     with |g|^2 - mu^2 <= _ASCENT_TOL * max(mu^2, 1), or after _ASCENT_MAX_STEPS
     rounds; every start stops once the best mu^2 of any reaches ``ceiling``.
-    Returns each start's best mu^2 and argument, and the rounds taken.
+    Returns each start's best mu^2, its argument, its round-1 mu^2, and the rounds taken.
     """
     count, dim = mats.shape[0], mats.shape[1]
     flat = mats.reshape(count, dim * dim).view(np.float64)
@@ -150,6 +152,8 @@ def _ascend(mats: np.ndarray, starts: np.ndarray,
     while idx.size and steps < _ASCENT_MAX_STEPS:
         steps += 1
         value, gap, nxt = _fixed_point_round(flat, flat_conj, dim, a)
+        if steps == 1:
+            first_value = value
         up = value > best_value[idx]
         best_value[idx[up]], best_arg[idx[up]] = value[up], a[up]
         if best_value.max() >= ceiling:
@@ -164,7 +168,7 @@ def _ascend(mats: np.ndarray, starts: np.ndarray,
         last_a[idx[ok]], last_next[idx[ok]] = a[ok], nxt[ok]
         live = ~ok | (gap > _ASCENT_TOL * np.maximum(value, 1.0))
         idx, a = idx[live], np.where(ok[:, None], mixed, last_next[idx])[live]
-    return best_value, best_arg, steps
+    return best_value, best_arg, first_value, steps
 
 
 def psi0_lower_bound(
@@ -179,36 +183,38 @@ def psi0_lower_bound(
     The ascent runs from ``restarts`` random starts plus any seed starts; every value
     it keeps is a true norm.  It stops once its best value reaches ``ceiling``: a
     caller that knows psi0 <= c passes c - tol and gets a value within tol of psi0.
-    ``steps`` counts its lockstep rounds.
+    ``steps`` counts its lockstep rounds; ``first`` holds each start's round-1 mu^2,
+    seed starts first, and ``value`` is at least each of them.
     """
     _check_labels(labels)
     check_restarts(restarts)
     if rng is None:
         rng = np.random.default_rng(0)
     starts = [np.asarray(s, dtype=np.float64) for s in seed_starts or []]
+    for start in starts:  # NaN fails "0 < norm < inf" like zero and inf do
+        if start.shape != (len(labels),) or not 0.0 < np.linalg.norm(start) < np.inf:
+            raise ValidationError(f"seed starts must be finite, nonzero and of length {len(labels)}")
     starts += [rng.normal(size=len(labels)) for _ in range(restarts)]
-    values, args, steps = _ascend(weyl_matrices(labels), np.array(starts), ceiling)
+    values, args, first, steps = _ascend(weyl_matrices(labels), np.array(starts), ceiling)
     best = int(np.argmax(values))  # the first start reaching the maximum
-    return {"value": float(values[best]), "argmax": args[best], "steps": steps}
+    return {"value": float(values[best]), "argmax": args[best], "first": first, "steps": steps}
 
 
 def _commuting_start(labels: list[WeylLabel], members: tuple[int, ...]) -> np.ndarray:
     """a = s / sqrt|I| on a pairwise-commuting subset I of the labels, 0 elsewhere.
 
-    s_i is W_i's eigenvalue on a joint eigenvector v, built from e_0 by the
-    projections (1 + s_i W_i)/2 one label at a time, s_i the sign of <v|W_i|v>
-    (the larger of the two halves).  Then H(a) v = sqrt|I| v, so mu(a)^2 = |I|.
-    Dependent sets need the signs: on {II, XX, YY, ZZ} all-plus gives mu^2 = 1.
+    v is the joint +1 eigenvector of the reduced basis b_j of I's labels.  Member x is
+    the product of the b_j whose pivot bit x has set, group column c, so s_x = sign[c]
+    from ``_elements_and_signs`` gives H(a) v = sqrt|I| v and mu(a)^2 = |I|.  Dependent
+    sets need the signs: on {II, XX, YY, ZZ} all-plus gives mu^2 = 1.
     """
-    rows, values = _weyl_nonzeros([labels[i] for i in members])
-    v = np.zeros(rows.shape[1], dtype=np.complex128)
-    v[0] = 1.0
+    bits = np.array([labels[i].bits for i in members], dtype=np.int64)
+    basis = _reduce_rows(bits.tolist())
+    pivots = np.array([b.bit_length() - 1 for b in basis], dtype=np.int64)
+    columns = (((bits[:, None] >> pivots) & 1) << np.arange(len(basis))).sum(axis=1)
+    _, negative = _elements_and_signs(np.array([basis], dtype=np.int64), labels[0].n)
     start = np.zeros(len(labels))
-    for i, row, value in zip(members, rows, values):
-        wv = (value * v)[row]  # W_i v: row z ^ x1 of the product is value[z] v[z]
-        start[i] = 1.0 if np.vdot(v, wv).real >= 0 else -1.0
-        v += start[i] * wv
-        v /= np.linalg.norm(v)
+    start[list(members)] = np.where(negative[0, columns], -1.0, 1.0)
     return start / np.sqrt(len(members))
 
 
@@ -234,11 +240,11 @@ def uncertainty_certificate(
 ) -> UncertaintyCertificate:
     """Evaluate and verify the chain sum <A_i>^2 <= psi0 <= theta(Gamma_A).
 
-    theta is bracketed first.  The expectation vector w seeds the ascent: the
-    norm of H(w/|w|) already certifies the first link, so a violation of any
-    link signals a solver or engine bug rather than a property of the input.
-    theta's independent set seeds it too, at mu^2 = |I|, and the ascent stops
-    at theta.upper - theta_tol, so psi0_lb is within theta_tol of psi0 there.
+    theta is bracketed first.  The expectation vector w seeds the ascent: the norm of
+    H(w/|w|), from its first round, already certifies the first link, so a violation
+    of any link signals a solver or engine bug rather than a property of the input.
+    theta's independent set seeds it too, at mu^2 = |I|, and the ascent stops at
+    theta.upper - theta_tol, so psi0_lb is within theta_tol of psi0 there.
     """
     n = _check_labels(labels)
     check_theta_order(len(labels))  # before any matrix is stacked or ascended
@@ -258,20 +264,16 @@ def uncertainty_certificate(
             f"after {theta.iterations} {theta.solver} iterations"
         )
 
-    seed_starts, seed_norm_sq = [], 0.0
-    if norm > 1e-12:
-        seed = witness / norm
-        seed_norm_sq = hamiltonian_norm_sq(HamiltonianSpec(tuple(labels), seed))
-        if lhs > norm * np.sqrt(seed_norm_sq) + 1e-9:
-            raise CertificateError(
-                f"witness bound failed: lhs {lhs!r} vs {norm * np.sqrt(seed_norm_sq)!r}"
-            )
-        seed_starts.append(seed)
+    seed_starts = [witness / norm] if norm > 1e-12 else []
     seed_starts.append(_commuting_start(labels, theta.independent))
-
     ascent = psi0_lower_bound(labels, restarts, rng, seed_starts,
                               ceiling=theta.upper - theta_tol)
-    psi0_lb = max(float(ascent["value"]), seed_norm_sq)
+    # The bound holds at w/|w| itself: its round-1 mu^2, not the best of its ascent.
+    if norm > 1e-12 and lhs > norm * np.sqrt(ascent["first"][0]) + 1e-9:
+        raise CertificateError(
+            f"witness bound failed: lhs {lhs!r} vs {norm * np.sqrt(ascent['first'][0])!r}"
+        )
+    psi0_lb = ascent["value"]
 
     if lhs > psi0_lb + 1e-8:
         raise CertificateError(f"chain failed: lhs {lhs!r} > psi0 bound {psi0_lb!r}")

@@ -149,6 +149,18 @@ def random_subspace(rng: np.random.Generator, n: int, dim: int) -> GF2Subspace:
     return gf2.random_subspace(n, dim, rng)
 
 
+def random_isotropic_basis(rng: np.random.Generator, n: int, k: int) -> list[int]:
+    """k independent, pairwise-commuting packed labels (k <= n), unreduced, drawn one at a time."""
+    basis: list[int] = []
+    while len(basis) < k:
+        cand = int(rng.integers(1, 1 << (2 * n)))
+        if gf2_rank(basis + [cand]) > len(basis) and not any(
+            gf2._form_bits(cand, b, n) for b in basis
+        ):
+            basis.append(cand)
+    return basis
+
+
 def bfs_lagrangians(n: int) -> tuple[GF2Subspace, ...]:
     """Every Lagrangian of F2^(2n), grown breadth-first from {0} and deduplicated.
 

@@ -5,12 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import graph_state, product_state, reference_fidelity_exact, sign_table
+from conftest import (
+    graph_state,
+    product_state,
+    random_isotropic_basis,
+    reference_fidelity_exact,
+    sign_table,
+)
 from stabkit import oracle
 from stabkit.errors import CapExceededError, ValidationError
 from stabkit.gf2 import WeylLabel, enumerate_lagrangians, span_and_classify
 from stabkit.oracle import (
     _INCUMBENT_ROWS,
+    _elements_and_signs,
     _lagrangian_table,
     _slack,
     lagrangian_mass,
@@ -24,6 +31,7 @@ from stabkit.state import (
     fwht,
     generate_state,
     weyl_expectation_table,
+    weyl_matrix,
 )
 
 ZERO = PureState(np.array([1, 0], dtype=complex), 1)
@@ -156,6 +164,27 @@ def test_batched_table_matches_per_lagrangian_loop(n):
             assert t in (0, 2)
             assert elements[row, c] == prod.bits
             assert (int(sign_bits[row]) >> c & 1) == (t == 2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_elements_and_signs_on_isotropic_bases_of_every_dimension(n):
+    # Any k <= n commuting generators, not only Lagrangian ones: column c of a row is
+    # the dense product of the generators on c's set bits, sign[c] W_(elements[c]).
+    rng = np.random.default_rng(40 + n)
+    for k in range(n + 1):
+        bases = np.array([random_isotropic_basis(rng, n, k) for _ in range(3)],
+                         dtype=np.int64).reshape(3, k)
+        elements, negative = _elements_and_signs(bases, n)
+        assert elements.shape == negative.shape == (3, 1 << k) and negative.dtype == bool
+        for row, members, signs in zip(bases, elements, negative):
+            gens = [weyl_matrix(WeylLabel(int(b), n)) for b in row]
+            for c in range(1 << k):
+                product = np.eye(1 << n, dtype=complex)
+                for i in range(k):
+                    if c >> i & 1:
+                        product = product @ gens[i]
+                expected = weyl_matrix(WeylLabel(int(members[c]), n)) * (-1 if signs[c] else 1)
+                assert np.array_equal(product, expected)
 
 
 def test_twirl_purity_examples():

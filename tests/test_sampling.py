@@ -96,6 +96,13 @@ def test_plan_validation():
         plan_test(0.9, 1e-60, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("C", [math.nan, math.inf])
+def test_plan_rejects_non_finite_C(C):
+    # A NaN C gave D2 = D = NaN, so every state was judged Far; an infinite C gave D2 = 0.
+    with pytest.raises(ValidationError):
+        plan_test(0.9, 1e-40, C, 1 / 3)
+
+
 def test_tolerant_test_on_stabilizer_state():
     plan = plan_test(0.9, 1e-60, 1.0, 1 / 3)
     stab = generate_state("stabilizer", 3, seed=8)

@@ -268,6 +268,13 @@ def test_dyadic_table_validation():
     DyadicTable(np.array([-5.0, 3.0, 0.0, 1.0]), 1, "generic")  # unconstrained
 
 
+@pytest.mark.parametrize("kind", ["char_dist", "weyl_dist"])
+def test_dyadic_table_rejects_nan(kind):
+    # NaN fails neither "min < 0" nor "|sum - 1| > tol", so such a table was accepted.
+    with pytest.raises(ValidationError):
+        DyadicTable(np.array([0.5, np.nan, 0.25, 0.25]), 1, kind)
+
+
 def test_fwht_self_inverse_and_parseval():
     rng = np.random.default_rng(8)
     vec = rng.normal(size=64)

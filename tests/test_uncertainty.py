@@ -7,10 +7,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import fixed_point_round, random_subspace
+from conftest import fixed_point_round, random_isotropic_basis, random_subspace
 from stabkit import uncertainty
-from stabkit.errors import CapExceededError, ValidationError
-from stabkit.gf2 import WeylLabel, enumerate_lagrangians, parse_labels, symplectic_form
+from stabkit.errors import CapExceededError, CertificateError, ValidationError
+from stabkit.gf2 import (
+    GF2Subspace,
+    WeylLabel,
+    enumerate_lagrangians,
+    parse_labels,
+    symplectic_form,
+)
 from stabkit.state import PureState, generate_state
 from stabkit.uncertainty import (
     HamiltonianSpec,
@@ -50,6 +56,13 @@ def test_hamiltonian_spec_validation():
         HamiltonianSpec((X1, X1), np.array([1.0, 0.0]))  # duplicates
     with pytest.raises(CapExceededError):
         HamiltonianSpec((WeylLabel(1, 7),), np.array([1.0]))
+
+
+@pytest.mark.parametrize("coefficients", [[np.nan, 0.0, 0.0], [1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]])
+def test_hamiltonian_spec_rejects_non_finite_coefficients(coefficients):
+    # A NaN norm fails no "> tol" test, so it once built a spec whose norm was NaN.
+    with pytest.raises(ValidationError):
+        HamiltonianSpec((X1, Y1, Z1), np.array(coefficients))
 
 
 def test_psi0_examples():
@@ -186,11 +199,21 @@ def test_certificate_validation():
             psi0_lower_bound([X1], restarts)
 
 
-def commuting_sets() -> list[list[WeylLabel]]:
-    """{II, XX, YY, ZZ}, then random subsets of random Lagrangians at n = 1..4.
+@pytest.mark.parametrize("start", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0],
+                                   [1.0, 0.0]], ids=["zero", "nan", "inf", "short"])
+def test_psi0_rejects_malformed_seed_starts(start):
+    # Normalizing a zero start gave NaN, NaN and inf passed silently, and a short
+    # start ended in numpy's inhomogeneous-shape error.
+    with pytest.raises(ValidationError):
+        psi0_lower_bound([X1, Y1, Z1], 2, np.random.default_rng(0), seed_starts=[np.array(start)])
 
-    Each n gives one subset with the identity and one without; a subset of a
-    Lagrangian may be linearly dependent, like the first set.
+
+def commuting_sets() -> list[list[WeylLabel]]:
+    """{II, XX, YY, ZZ}, random subsets of random Lagrangians at n = 1..4, full groups at 5, 6.
+
+    Each n <= 4 gives one subset with the identity and one without; a subset of a
+    Lagrangian may be linearly dependent, like the first set.  A full Lagrangian
+    group at n = 5 and 6 has 32 and 64 members, past one uint32 of sign columns.
     """
     sets = [[WeylLabel.from_halves(x1, x2, 2) for x1, x2 in [(0, 0), (3, 0), (3, 3), (0, 3)]]]
     rng = np.random.default_rng(21)
@@ -200,11 +223,15 @@ def commuting_sets() -> list[list[WeylLabel]]:
             nonzero = lagrangians[rng.integers(len(lagrangians))].element_bits[1:]
             picks = rng.choice(nonzero, size=rng.integers(1, len(nonzero) + 1), replace=False)
             sets.append([WeylLabel(int(b), n) for b in [0] * identity + sorted(picks)])
+    for n in (5, 6):
+        group = GF2Subspace(random_isotropic_basis(rng, n, n), n).element_bits
+        sets.append([WeylLabel(b, n) for b in sorted(group)])
     return sets
 
 
 @pytest.mark.parametrize("labels", commuting_sets(),
-                         ids=["bell"] + [f"n{n}-{i}" for n in (1, 2, 3, 4) for i in ("id", "no-id")])
+                         ids=["bell"] + [f"n{n}-{i}" for n in (1, 2, 3, 4) for i in ("id", "no-id")]
+                         + ["n5-full", "n6-full"])
 def test_commuting_start_attains_the_set_size_in_one_round(labels):
     # On {II, XX, YY, ZZ} the unsigned start 1/2 (1, 1, 1, 1) gives mu^2 = 1, not 4.
     m, n = len(labels), labels[0].n
@@ -235,8 +262,11 @@ def test_certificate_keeps_closed_forms_in_one_round(labels, value):
 
 def test_certificate_calls_each_traced_layer_once_through_the_module(monkeypatch):
     # stabbench's tracer times these layers by patching their names in this module.
+    # The witness's mu^2 comes from the ascent's first round, so one certificate
+    # stacks the label matrices once and builds no HamiltonianSpec.
     counts = Counter()
-    for name in ("psi0_lower_bound", "hamiltonian_norm_sq", "lovasz_theta"):
+    for name in ("psi0_lower_bound", "hamiltonian_norm_sq", "HamiltonianSpec", "lovasz_theta",
+                 "weyl_matrices"):
         def counted(*args, _name=name, _real=getattr(uncertainty, name), **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
@@ -244,7 +274,28 @@ def test_certificate_calls_each_traced_layer_once_through_the_module(monkeypatch
     labels = [WeylLabel(b, 2) for b in (0, 3, 5, 9, 12)]
     uncertainty_certificate(generate_state("haar", 2, seed=4), labels, restarts=4,
                             rng=np.random.default_rng(4))
-    assert counts == {"psi0_lower_bound": 1, "hamiltonian_norm_sq": 1, "lovasz_theta": 1}
+    assert counts == {"psi0_lower_bound": 1, "lovasz_theta": 1, "weyl_matrices": 1}
+
+
+def test_witness_bound_reads_the_witness_start_own_first_round(monkeypatch):
+    # Round 1 reports mu^2 = 0 for every start and keeps each one live; later rounds are
+    # true.  The witness start's best mu^2 then clears lhs, but its own round-1 mu^2,
+    # which is the value the witness bound is stated for, does not.
+    real_round, rounds = uncertainty._fixed_point_round, []
+
+    def zero_first_round(flat, flat_conj, dim, a):
+        value, gap, nxt = real_round(flat, flat_conj, dim, a)
+        if not rounds:
+            value, gap = np.zeros_like(value), np.ones_like(gap)
+        rounds.append(len(a))
+        return value, gap, nxt
+
+    monkeypatch.setattr(uncertainty, "_fixed_point_round", zero_first_round)
+    labels = [WeylLabel(b, 2) for b in (0, 3, 5, 9, 12)]
+    with pytest.raises(CertificateError, match="witness bound failed"):
+        uncertainty_certificate(generate_state("haar", 2, seed=4), labels, restarts=4,
+                                rng=np.random.default_rng(4))
+    assert len(rounds) > 1  # the ascent went past round 1, so every best is a true mu^2
 
 
 # Trial 35 of the criterion-5 stream (seed 505, drawn at 8 restarts): n = 4, 14 labels,
@@ -316,6 +367,7 @@ def test_ascent_reports_each_start_best_point_not_its_last(monkeypatch):
 
     monkeypatch.setattr(uncertainty, "_fixed_point_round", scripted_round)
     mats = np.stack([np.eye(2, dtype=complex)] * 3)
-    values, args, steps = uncertainty._ascend(mats, np.eye(3)[:1])
+    values, args, first, steps = uncertainty._ascend(mats, np.eye(3)[:1])
     assert steps == 4
     assert values.tolist() == [3.0] and args.tolist() == [[0.0, 1.0, 0.0]]
+    assert first.tolist() == [1.0]
