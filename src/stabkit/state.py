@@ -449,15 +449,32 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
 def _random_clifford_state(n: int, rng: np.random.Generator) -> PureState:
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = 1.0
-    for _ in range(20 * n * n):
-        kind = rng.integers(3 if n > 1 else 2)
-        if kind == 0:
-            _apply_h(amps, int(rng.integers(n)))
-        elif kind == 1:
-            _apply_s(amps, int(rng.integers(n)))
-        else:
-            control, target = rng.choice(n, size=2, replace=False)
-            _apply_cnot(amps, int(control), int(target))
+    bits = rng.bit_generator.ctypes
+    next_uint32, bits_state = bits.next_uint32, bits.state
+
+    def below(high: int) -> int:
+        """``rng.integers(high)``: Lemire's bounded draw on the 32-bit stream, as numpy's."""
+        if high == 1:
+            return 0
+        m = next_uint32(bits_state) * high
+        if m & 0xFFFFFFFF < high:
+            threshold = (1 << 32) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(bits_state) * high
+        return m >> 32
+
+    kinds = 3 if n > 1 else 2
+    with rng.bit_generator.lock:
+        for _ in range(20 * n * n):
+            kind = below(kinds)
+            if kind == 0:
+                _apply_h(amps, below(n))
+            elif kind == 1:
+                _apply_s(amps, below(n))
+            else:  # rng.choice(n, 2, replace=False): Floyd's pair, then one shuffle swap
+                a, v = below(n - 1), below(n)
+                b = n - 1 if v == a else v
+                _apply_cnot(amps, *((b, a) if below(2) == 0 else (a, b)))
     return PureState(amps, n)
 
 
@@ -479,8 +496,12 @@ def generate_state(
     """Build a corpus state: stabilizer | haar | t_tensor | noisy_stabilizer.
 
     ``stabilizer`` applies a seeded random H/S/CNOT circuit of length 20 n^2
-    to |0...0>.  ``noisy_stabilizer`` mixes a stabilizer state |S> with a
-    Haar vector orthogonalized against it, so |<S|out>|^2 = 1 - noise exactly.
+    to |0...0>.  Its draws are read from ``rng.bit_generator``'s 32-bit stream
+    under its lock, exactly as ``rng.integers`` and ``rng.choice(n, 2,
+    replace=False)`` read it: each state, and where ``rng`` is left, equals
+    numpy's gate-by-gate draws bit for bit.  ``noisy_stabilizer`` mixes a
+    stabilizer state |S> with a Haar vector orthogonalized against it, so
+    |<S|out>|^2 = 1 - noise exactly.
     """
     _check_qubit_count(n)  # before any 2^n allocation
     if rng is None:

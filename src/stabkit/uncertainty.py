@@ -190,10 +190,13 @@ def psi0_lower_bound(
     check_restarts(restarts)
     if rng is None:
         rng = np.random.default_rng(0)
-    starts = [np.asarray(s, dtype=np.float64) for s in seed_starts or []]
-    for start in starts:  # NaN fails "0 < norm < inf" like zero and inf do
-        if start.shape != (len(labels),) or not 0.0 < np.linalg.norm(start) < np.inf:
-            raise ValidationError(f"seed starts must be finite, nonzero and of length {len(labels)}")
+    starts = [np.asarray(s) for s in seed_starts or []]
+    for start in starts:  # checked before the float cast, which drops an imaginary part
+        if (np.iscomplexobj(start) or start.shape != (len(labels),)
+                or not 0.0 < np.linalg.norm(start) < np.inf):  # NaN fails this like 0 and inf
+            raise ValidationError(
+                f"seed starts must be real, finite, nonzero and of length {len(labels)}")
+    starts = [start.astype(np.float64) for start in starts]
     starts += [rng.normal(size=len(labels)) for _ in range(restarts)]
     values, args, first, steps = _ascend(weyl_matrices(labels), np.array(starts), ceiling)
     best = int(np.argmax(values))  # the first start reaching the maximum

@@ -22,6 +22,13 @@ from stabkit.state import BLOCK, PureState, fwht, weyl_matrices  # noqa: E402
 from stabkit.uncertainty import _fixed_point_round  # noqa: E402
 
 
+def pytest_configure(config):
+    # A silent complex-to-real cast fails the suite. The filter is added here,
+    # not in pyproject.toml: pytest resolves an ini filter's category before it
+    # loads this file, which would import numpy ahead of the thread setting above.
+    config.addinivalue_line("filterwarnings", "error::numpy.exceptions.ComplexWarning")
+
+
 def reference_fwht(values: np.ndarray) -> np.ndarray:
     """Reference Walsh-Hadamard butterfly, allocating fresh arrays per level.
 

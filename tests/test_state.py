@@ -25,6 +25,7 @@ from stabkit.gf2 import WeylLabel
 from stabkit.oracle import stabilizer_fidelity_exact
 from stabkit.state import (
     BLOCK,
+    STATE_QUBIT_CAP,
     TABLE_QUBIT_CAP,
     DyadicTable,
     PureState,
@@ -229,15 +230,73 @@ def test_generate_state_kinds():
         generate_state("noisy_stabilizer", 2, seed=1, noise=1.5)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_stabilizer_states_are_bit_identical_to_the_gate_by_gate_reference(n):
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                  np.random.MT19937)
+
+
+def reference_generate_state(monkeypatch, kind: str, n: int, rng: np.random.Generator) -> PureState:
+    """``generate_state`` with the circuit taken from ``reference_clifford_state``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(state_module, "_random_clifford_state",
+                      lambda n, rng: PureState(reference_clifford_state(n, rng), n))
+        return generate_state(kind, n, noise=0.3, rng=rng)
+
+
+def assert_same_generator(rng: np.random.Generator, ref_rng: np.random.Generator) -> None:
+    # The state holds a buffered 32-bit half; rng.random() reads 64 bits and skips it.
+    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+    assert rng.integers(1 << 40) == ref_rng.integers(1 << 40)
+
+
+@pytest.mark.parametrize("n", range(1, STATE_QUBIT_CAP + 1))
+def test_stabilizer_states_are_bit_identical_to_the_gate_by_gate_reference(n, monkeypatch):
     # The stabilizer corpus, and so every golden that draws one, depends on
-    # these bytes and on where the generator is left.
-    for seed in range(6):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = state_module._random_clifford_state(n, rng).amplitudes
-        assert got.tobytes() == reference_clifford_state(n, ref_rng).tobytes()
-        assert rng.random() == ref_rng.random()
+    # these bytes and on where the generator is left.  One or two 32-bit draws
+    # before the circuit make its first draw read a buffered half, or not.
+    for bit_generator in BIT_GENERATORS:
+        for seed in range(6 if n <= 8 else 2):
+            for kind in ("stabilizer", "noisy_stabilizer"):
+                rng, ref_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+                for _ in range(seed % 3):
+                    rng.integers(2), ref_rng.integers(2)
+                got = generate_state(kind, n, noise=0.3, rng=rng).amplitudes
+                want = reference_generate_state(monkeypatch, kind, n, ref_rng).amplitudes
+                assert got.tobytes() == want.tobytes(), (bit_generator.__name__, seed, kind)
+                assert_same_generator(rng, ref_rng)
+
+
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def pcg64_before_word(word: int) -> np.random.Generator:
+    """A PCG64 generator whose next 64-bit output is ``word``.
+
+    PCG64 steps s <- s * M + inc mod 2^128 and outputs rotr64(hi ^ lo, hi >> 58)
+    of the stepped s.  Any hi will do: lo = rotl64(word, hi >> 58) ^ hi inverts
+    the output, and (s - inc) * M^-1 undoes the step.
+    """
+    bit_generator = np.random.PCG64(5)
+    seeded = bit_generator.state
+    inc = seeded["state"]["inc"]
+    hi = seeded["state"]["state"] >> 64
+    rot = hi >> 58
+    lo = (((word << rot) | (word >> (64 - rot))) & ((1 << 64) - 1)) ^ hi
+    stepped = (hi << 64) | lo
+    before = (stepped - inc) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    bit_generator.state = {**seeded, "state": {"state": before, "inc": inc}}
+    return np.random.Generator(bit_generator)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("word", [0xABCDEF12_00000000, 0], ids=["one-rejection", "two-rejections"])
+def test_stabilizer_circuit_redraws_a_rejected_draw_as_numpy_does(n, word):
+    # Lemire's draw rejects a 32-bit value u when (u * high) mod 2^32 < 2^32 mod high,
+    # about high / 2^32 of the time, so no seed reaches it; a zero low half does.
+    assert pcg64_before_word(word).bit_generator.random_raw() == word
+    rng, ref_rng = pcg64_before_word(word), pcg64_before_word(word)
+    got = state_module._random_clifford_state(n, rng).amplitudes
+    assert got.tobytes() == reference_clifford_state(n, ref_rng).tobytes()
+    assert_same_generator(rng, ref_rng)
 
 
 def test_purestate_validation():

@@ -200,10 +200,12 @@ def test_certificate_validation():
 
 
 @pytest.mark.parametrize("start", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0],
-                                   [1.0, 0.0]], ids=["zero", "nan", "inf", "short"])
+                                   [1.0, 0.0], [1 + 5j, 0.0, 0.0]],
+                         ids=["zero", "nan", "inf", "short", "complex"])
 def test_psi0_rejects_malformed_seed_starts(start):
-    # Normalizing a zero start gave NaN, NaN and inf passed silently, and a short
-    # start ended in numpy's inhomogeneous-shape error.
+    # Normalizing a zero start gave NaN, NaN and inf passed silently, a short
+    # start ended in numpy's inhomogeneous-shape error, and a complex start ran
+    # from its real part with only a ComplexWarning.
     with pytest.raises(ValidationError):
         psi0_lower_bound([X1, Y1, Z1], 2, np.random.default_rng(0), seed_starts=[np.array(start)])
 
