@@ -10,7 +10,16 @@ graphs       graph algebra and the Lovasz-theta SDP solver
 uncertainty  the generalized uncertainty-relation certificate chain
 additive     sumsets, doubling, nearly-linear extraction, constructive BSG
 cli          batch experiment runner (the only I/O surface)
+
+Importing stabkit pins OpenBLAS to one thread, overriding the environment:
+a threaded BLAS reduction sums in another order, and reports promise the
+same bytes for the same seed.  The pin must precede numpy's first import,
+so it does not reach a caller who imported numpy before stabkit.
 """
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .errors import CapExceededError, CertificateError, ValidationError
 from .gf2 import (

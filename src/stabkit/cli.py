@@ -18,6 +18,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -127,9 +129,16 @@ def emit_report(report: Report, fmt: str = "json", path: str | None = None) -> N
         raise ValidationError(f"unknown format {fmt!r}")
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(text)
+        return
+    data = text.encode("ascii")
+    # Overwrite in place, then cut to length: truncating to zero first costs
+    # the file system a block free and a fresh allocation on every report.
+    # A pipe, FIFO or device cannot be cut, so it is only written.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as handle:
+        handle.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +464,7 @@ def run_experiment(config: dict) -> Report:
     results, summary = _COMMANDS[command](config)
     elapsed = time.perf_counter() - started
     echo = {k: v for k, v in sorted(config.items()) if v is not None and k != "command"}
-    echo["threads"] = 1  # computation is single-threaded; kept so report bytes stay stable
+    echo["threads"] = 1  # stabkit/__init__.py pins OPENBLAS_NUM_THREADS=1 before numpy loads
     return Report(
         command=command,
         config=echo,

@@ -5,8 +5,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -579,15 +581,16 @@ def test_malformed_label_files_exit_2(tmp_path, capsys, argv, content, message):
         ["theta", "--graph-file", "{missing}"],
         ["cover", "--subspace-file", "{missing}"],
         ["fidelity", "--kind", "t_tensor", "--n", "1", "--out", "{missing}/report.json"],
+        ["fidelity", "--kind", "t_tensor", "--n", "1", "--out", "{directory}"],
     ],
     ids=["state-file", "state-file-not-json", "labels-file", "labels-file-not-ascii",
-         "set-file", "graph-file", "subspace-file", "out"],
+         "set-file", "graph-file", "subspace-file", "out", "out-directory"],
 )
 def test_unreadable_files_exit_2(tmp_path, capsys, argv):
     (tmp_path / "not.json").write_text("{n: 1")
     (tmp_path / "latin1.txt").write_bytes(b"10\xff\n")
     paths = {"missing": tmp_path / "missing", "not_json": tmp_path / "not.json",
-             "not_ascii": tmp_path / "latin1.txt"}
+             "not_ascii": tmp_path / "latin1.txt", "directory": tmp_path}
     assert cli.main([arg.format(**paths) for arg in argv]) == 2
     assert "file error" in capsys.readouterr().err
 
@@ -901,3 +904,100 @@ def test_tester_memory_does_not_grow_with_m(tmp_path):
         assert code == "0"
         peaks[m] = int(peak)
     assert peaks["2000000"] <= 1.10 * peaks["1"]
+
+
+_GAMMA_T1 = ["gamma", "--kind", "t_tensor", "--n", "1", "--exact"]
+_GAMMA_T1_REPORT = (GOLDEN / "gamma_t_tensor_n1_exact.json").read_bytes()
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _stabkit(argv, threads="1"):
+    """``python -m stabkit argv`` in a fresh process at the given OpenBLAS thread count."""
+    env = {**os.environ, "PYTHONPATH": _SRC, "OPENBLAS_NUM_THREADS": threads}
+    return subprocess.run([sys.executable, "-m", "stabkit", *argv], capture_output=True,
+                          timeout=120, env=env)
+
+
+def test_python_m_stabkit_runs_the_cli():
+    proc = _stabkit(_GAMMA_T1)
+    assert proc.returncode == 0
+    assert proc.stdout == _GAMMA_T1_REPORT
+
+
+def test_out_overwrites_a_longer_file_in_place(tmp_path):
+    # A short report over a long file leaves the report's bytes alone, in the
+    # same inode with the same mode; a new file takes its mode from the umask.
+    out = tmp_path / "g.json"
+    out.write_bytes(b"x" * 10_000)
+    out.chmod(0o640)
+    before = out.stat()
+    assert cli.main(_GAMMA_T1 + ["--out", str(out)]) == 0
+    after = out.stat()
+    assert out.read_bytes() == _GAMMA_T1_REPORT
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    mask = os.umask(0o027)
+    try:
+        assert cli.main(_GAMMA_T1 + ["--out", str(tmp_path / "new.json")]) == 0
+    finally:
+        os.umask(mask)
+    assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o640
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * 10_000)
+    link.symlink_to(target)
+    assert cli.main(_GAMMA_T1 + ["--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == _GAMMA_T1_REPORT
+
+
+def test_out_never_opens_the_report_with_o_trunc(tmp_path, monkeypatch):
+    # Truncating to zero and writing again cost about five times the in-place write.
+    out, flags = tmp_path / "g.json", []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    out.write_bytes(b"x" * 10_000)
+    monkeypatch.setattr(os, "open", spy)
+    assert cli.main(_GAMMA_T1 + ["--out", str(out)]) == 0
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert out.read_bytes() == _GAMMA_T1_REPORT
+
+
+def test_out_to_a_pipe_or_fifo_streams_the_report(tmp_path):
+    # A pipe, FIFO or device cannot be cut to length; it is written and left so.
+    if not hasattr(os, "mkfifo") or not os.path.exists("/dev/stdout"):
+        pytest.skip("needs os.mkfifo and /dev/stdout (POSIX)")
+    proc = _stabkit(_GAMMA_T1 + ["--out", "/dev/stdout"])
+    assert proc.returncode == 0 and proc.stdout == _GAMMA_T1_REPORT
+
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(_GAMMA_T1 + ["--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [_GAMMA_T1_REPORT]
+    assert cli.main(_GAMMA_T1 + ["--out", os.devnull]) == 0
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count():
+    # Importing stabkit pins OpenBLAS to one thread.  Unpinned, two threads
+    # split the BLAS dot in gamma and the solvers' products, and moved the last
+    # digits of gamma (t_tensor, n = 8) and of theta's bracket.
+    for argv, golden in [
+        (["gamma", "--kind", "t_tensor", "--n", "8", "--exact"], None),
+        (["extract", "--kind", "t_tensor", "--n", "8", "--seed", "5"], "extract_t_tensor_n8_s5.json"),
+        (["uncertainty", "--kind", "haar", "--n", "6", "--random-labels", "64", "--seed", "5"], None),
+    ]:
+        two, one = (_stabkit(argv, threads) for threads in ("2", "1"))
+        assert two.returncode == one.returncode == 0
+        assert two.stdout == one.stdout
+        if golden:
+            assert one.stdout == (GOLDEN / golden).read_bytes()
