@@ -419,20 +419,6 @@ def pad_with_zeros(state: PureState, extra: int) -> PureState:
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _apply_h(amps: np.ndarray, bit: int) -> None:
-    view = amps.reshape(-1, 2, 1 << bit)
-    a, b = view[:, 0, :], view[:, 1, :]
-    total = a + b
-    np.subtract(a, b, out=b)
-    np.multiply(total, _INV_SQRT2, out=a)
-    b *= _INV_SQRT2
-
-
-def _apply_s(amps: np.ndarray, bit: int) -> None:
-    view = amps.reshape(-1, 2, 1 << bit)
-    view[:, 1, :] *= 1j
-
-
 @lru_cache(maxsize=None)  # at most n(n - 1) read-only arrays per n <= STATE_QUBIT_CAP
 def _cnot_gather(size: int, control: int, target: int) -> np.ndarray:
     """The index z ^ (z_control << target): entry z of CNOT|psi> is psi at it."""
@@ -442,39 +428,62 @@ def _cnot_gather(size: int, control: int, target: int) -> np.ndarray:
     return gather
 
 
-def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    amps[:] = amps[_cnot_gather(amps.size, control, target)]
-
-
 def _random_clifford_state(n: int, rng: np.random.Generator) -> PureState:
-    amps = np.zeros(1 << n, dtype=np.complex128)
+    """Run 20 n^2 random H/S/CNOT gates on |0...0>, drawing as numpy's gate-by-gate calls.
+
+    The 32-bit words come in bulk ``rng.integers`` calls.  Each asks for a
+    lower bound on the words the circuit still needs: one for the draw at
+    hand, then ``least`` for each later gate (its kind, and its qubit unless
+    n = 1).  So every word drawn is used, once, and the generator ends where
+    the gate-by-gate draws leave it.  The gates run on two buffers that take
+    turns: H and CNOT write the other one, S scales the odd half in place.
+    """
+    gates, kinds, least = 20 * n * n, 3 if n > 1 else 2, 2 if n > 1 else 1
+    amps, spare = np.zeros(1 << n, dtype=np.complex128), np.empty(1 << n, dtype=np.complex128)
     amps[0] = 1.0
-    bits = rng.bit_generator.ctypes
-    next_uint32, bits_state = bits.next_uint32, bits.state
+
+    def halves_by_bit(buf: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Per bit, the views of ``buf``'s entries whose bit is 0 and whose bit is 1."""
+        return [tuple(buf.reshape(-1, 2, 1 << bit).swapaxes(0, 1)) for bit in range(n)]
+
+    halves, spare_halves = halves_by_bit(amps), halves_by_bit(spare)
+    phase, scale = np.array(1j), np.array(_INV_SQRT2)  # 0-d, so no gate converts a Python scalar
+    words: list[int] = []
+    pos = 0
 
     def below(high: int) -> int:
         """``rng.integers(high)``: Lemire's bounded draw on the 32-bit stream, as numpy's."""
+        nonlocal words, pos
         if high == 1:
             return 0
-        m = next_uint32(bits_state) * high
-        if m & 0xFFFFFFFF < high:
-            threshold = (1 << 32) % high
-            while m & 0xFFFFFFFF < threshold:
-                m = next_uint32(bits_state) * high
-        return m >> 32
+        while True:
+            if pos == len(words):
+                size = 1 + least * (gates - gate - 1)  # this draw, then the later gates
+                words, pos = rng.integers(0, 1 << 32, size=size, dtype=np.uint32).tolist(), 0
+            m = words[pos] * high
+            pos += 1
+            low = m & 0xFFFFFFFF
+            if low >= high or low >= (1 << 32) % high:  # else Lemire rejects it: redraw
+                return m >> 32
 
-    kinds = 3 if n > 1 else 2
-    with rng.bit_generator.lock:
-        for _ in range(20 * n * n):
-            kind = below(kinds)
-            if kind == 0:
-                _apply_h(amps, below(n))
-            elif kind == 1:
-                _apply_s(amps, below(n))
-            else:  # rng.choice(n, 2, replace=False): Floyd's pair, then one shuffle swap
-                a, v = below(n - 1), below(n)
-                b = n - 1 if v == a else v
-                _apply_cnot(amps, *((b, a) if below(2) == 0 else (a, b)))
+    for gate in range(gates):
+        kind = below(kinds)
+        if kind == 1:
+            odd = halves[below(n)][1]
+            np.multiply(odd, phase, out=odd)
+            continue
+        if kind == 0:
+            bit = below(n)
+            (even, odd), (to_even, to_odd) = halves[bit], spare_halves[bit]
+            np.add(even, odd, out=to_even)
+            np.subtract(even, odd, out=to_odd)
+            np.multiply(spare, scale, out=spare)
+        else:  # rng.choice(n, 2, replace=False): Floyd's pair, then one shuffle swap
+            a, v = below(n - 1), below(n)
+            b = n - 1 if v == a else v
+            control, target = (b, a) if below(2) == 0 else (a, b)
+            np.take(amps, _cnot_gather(1 << n, control, target), out=spare)
+        amps, spare, halves, spare_halves = spare, amps, spare_halves, halves
     return PureState(amps, n)
 
 
@@ -496,10 +505,13 @@ def generate_state(
     """Build a corpus state: stabilizer | haar | t_tensor | noisy_stabilizer.
 
     ``stabilizer`` applies a seeded random H/S/CNOT circuit of length 20 n^2
-    to |0...0>.  Its draws are read from ``rng.bit_generator``'s 32-bit stream
-    under its lock, exactly as ``rng.integers`` and ``rng.choice(n, 2,
-    replace=False)`` read it: each state, and where ``rng`` is left, equals
-    numpy's gate-by-gate draws bit for bit.  ``noisy_stabilizer`` mixes a
+    to |0...0>.  Its draws are read from ``rng``'s 32-bit stream in a few bulk
+    ``rng.integers`` calls, each for no more words than the circuit still
+    needs, and decoded exactly as ``rng.integers`` and ``rng.choice(n, 2,
+    replace=False)`` decode them: each state, and where ``rng`` is left,
+    equals numpy's gate-by-gate draws bit for bit.  A thread sharing ``rng``
+    may draw between two bulk calls, as between any two numpy draws; the
+    circuit's own words are never split or reused.  ``noisy_stabilizer`` mixes a
     stabilizer state |S> with a Haar vector orthogonalized against it, so
     |<S|out>|^2 = 1 - noise exactly.
     """
@@ -550,13 +562,21 @@ def state_to_json_dict(state: PureState) -> dict:
 
 def state_from_json_dict(payload: dict) -> PureState:
     try:
-        n = payload["n"]
-        re = np.asarray(payload["re"], dtype=np.float64)
-        im = np.asarray(payload["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        n, parts = payload["n"], [payload["re"], payload["im"]]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad state payload: {exc}") from exc
     if isinstance(n, bool) or not isinstance(n, int):  # 1.5 must not run as n = 1
         raise ValidationError(f"state n must be an integer, got {n!r}")
+    arrays = []
+    for field, values in zip(("re", "im"), parts):
+        # A float64 cast would take "1" and true as 1.0: only JSON ints and floats are numbers.
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+            raise ValidationError(f"state {field} must be a JSON list of numbers")
+        try:
+            arrays.append(np.asarray(values, dtype=np.float64))
+        except OverflowError as exc:  # an int past float64's range
+            raise ValidationError(f"state {field} must be a JSON list of numbers: {exc}") from exc
+    re, im = arrays
     if re.shape != im.shape:
         raise ValidationError("re/im arrays differ in length")
     return PureState(re + 1j * im, n)

@@ -362,53 +362,51 @@ def test_m_override(tmp_path):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = [
+    ("fidelity_t_tensor_n4.json", ["fidelity", "--kind", "t_tensor", "--n", "4"]),
+    (
+        "sandwich_sweep_pc2_n4_s11.json",
+        ["sandwich-sweep", "--per-class", "2", "--n-values", "4", "--seed", "11"],
+    ),
+    # The README's commands, except theta and uncertainty (iterative solvers).
+    ("gamma_t_tensor_n1_exact.json", ["gamma", "--kind", "t_tensor", "--n", "1", "--exact"]),
+    (
+        "gamma_haar_n4_m100000_s7.json",
+        ["gamma", "--kind", "haar", "--n", "4", "--m", "100000", "--seed", "7"],
+    ),
+    (
+        "test_noisy_stabilizer_n3_s7.json",
+        ["test", "--kind", "noisy_stabilizer", "--n", "3", "--noise", "0.02", "--eps1", "0.9",
+         "--eps2", "1e-40", "--C", "1", "--delta", "0.333", "--seed", "7"],
+    ),
+    ("fidelity_haar_n3_s1.json", ["fidelity", "--kind", "haar", "--n", "3", "--seed", "1"]),
+    (
+        "sandwich_sweep_pc25_s11.csv",
+        ["sandwich-sweep", "--per-class", "25", "--n-values", "1,2,3,4", "--seed", "11",
+         "--format", "csv"],
+    ),
+    ("extract_t_tensor_n4_s3.json", ["extract", "--kind", "t_tensor", "--n", "4", "--seed", "3"]),
+    (
+        "bsg_n4_d5_j4_s9.json",
+        ["bsg", "--n", "4", "--subspace-dim", "5", "--junk", "4", "--seed", "9"],
+    ),
+    ("cover_n3_d5_s2.json", ["cover", "--n", "3", "--dim", "5", "--seed", "2"]),
+    # n = 6..8: transforms wide enough for every branch of the butterfly.
+    ("gamma_haar_n8_s5_exact.json", ["gamma", "--kind", "haar", "--n", "8", "--seed", "5", "--exact"]),
+    (
+        "gamma_haar_n8_m20000_s5.json",
+        ["gamma", "--kind", "haar", "--n", "8", "--seed", "5", "--m", "20000"],
+    ),
+    ("extract_t_tensor_n8_s5.json", ["extract", "--kind", "t_tensor", "--n", "8", "--seed", "5"]),
+    ("extract_haar_n7_s5.json", ["extract", "--kind", "haar", "--n", "7", "--seed", "5"]),
+    (
+        "bsg_n6_d7_j8_s5.json",
+        ["bsg", "--n", "6", "--subspace-dim", "7", "--junk", "8", "--seed", "5"],
+    ),
+]
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("fidelity_t_tensor_n4.json", ["fidelity", "--kind", "t_tensor", "--n", "4"]),
-        (
-            "sandwich_sweep_pc2_n4_s11.json",
-            ["sandwich-sweep", "--per-class", "2", "--n-values", "4", "--seed", "11"],
-        ),
-        # The README's commands, except theta and uncertainty (iterative solvers).
-        ("gamma_t_tensor_n1_exact.json", ["gamma", "--kind", "t_tensor", "--n", "1", "--exact"]),
-        (
-            "gamma_haar_n4_m100000_s7.json",
-            ["gamma", "--kind", "haar", "--n", "4", "--m", "100000", "--seed", "7"],
-        ),
-        (
-            "test_noisy_stabilizer_n3_s7.json",
-            ["test", "--kind", "noisy_stabilizer", "--n", "3", "--noise", "0.02", "--eps1", "0.9",
-             "--eps2", "1e-40", "--C", "1", "--delta", "0.333", "--seed", "7"],
-        ),
-        ("fidelity_haar_n3_s1.json", ["fidelity", "--kind", "haar", "--n", "3", "--seed", "1"]),
-        (
-            "sandwich_sweep_pc25_s11.csv",
-            ["sandwich-sweep", "--per-class", "25", "--n-values", "1,2,3,4", "--seed", "11",
-             "--format", "csv"],
-        ),
-        ("extract_t_tensor_n4_s3.json", ["extract", "--kind", "t_tensor", "--n", "4", "--seed", "3"]),
-        (
-            "bsg_n4_d5_j4_s9.json",
-            ["bsg", "--n", "4", "--subspace-dim", "5", "--junk", "4", "--seed", "9"],
-        ),
-        ("cover_n3_d5_s2.json", ["cover", "--n", "3", "--dim", "5", "--seed", "2"]),
-        # n = 6..8: transforms wide enough for every branch of the butterfly.
-        ("gamma_haar_n8_s5_exact.json", ["gamma", "--kind", "haar", "--n", "8", "--seed", "5", "--exact"]),
-        (
-            "gamma_haar_n8_m20000_s5.json",
-            ["gamma", "--kind", "haar", "--n", "8", "--seed", "5", "--m", "20000"],
-        ),
-        ("extract_t_tensor_n8_s5.json", ["extract", "--kind", "t_tensor", "--n", "8", "--seed", "5"]),
-        ("extract_haar_n7_s5.json", ["extract", "--kind", "haar", "--n", "7", "--seed", "5"]),
-        (
-            "bsg_n6_d7_j8_s5.json",
-            ["bsg", "--n", "6", "--subspace-dim", "7", "--junk", "8", "--seed", "5"],
-        ),
-    ],
-)
+@pytest.mark.parametrize("golden, argv", GOLDEN_COMMANDS)
 def test_golden_reports(tmp_path, golden, argv):
     # Each golden was written by an earlier version of the code; refactors must
     # keep every byte, argmax tie-breaks and the config echo included.
@@ -449,6 +447,28 @@ def test_state_file_rejects_non_finite(tmp_path, capsys, token):
     state_path.write_text('{"n": 1, "re": [%s, 0], "im": [0, 0]}' % token)
     assert cli.main(["fidelity", "--state-file", str(state_path)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "re, im, field",
+    [
+        ('["1", "0"]', "[0, 0]", "re"),
+        ("[true, false]", "[0, 0]", "re"),
+        ("[1, 0]", "null", "im"),
+        ("[1, null]", "[0, 0]", "re"),
+        ("[[1], [0]]", "[[0], [0]]", "re"),
+        ('{"0": 1}', "[0, 0]", "re"),
+        ("[1, 0]", "[0, false]", "im"),
+        ("[1, 0]", "[0, 1%s]" % ("0" * 400), "im"),
+    ],
+    ids=["strings", "bools", "im-null", "null-entry", "nested", "object", "im-bool", "im-huge-int"],
+)
+def test_state_file_takes_numbers_only(tmp_path, capsys, re, im, field):
+    # A float64 cast reads "1" and true as 1.0, so these once ran to f_s = 1.
+    state_path = tmp_path / "bad.json"
+    state_path.write_text('{"n": 1, "re": %s, "im": %s}' % (re, im))
+    assert cli.main(["fidelity", "--state-file", str(state_path)]) == 2
+    assert f"state {field} must be a JSON list of numbers" in capsys.readouterr().err
 
 
 def test_state_file_rejects_non_integer_n(tmp_path, capsys):
@@ -987,17 +1007,35 @@ def test_out_to_a_pipe_or_fifo_streams_the_report(tmp_path):
     assert cli.main(_GAMMA_T1 + ["--out", os.devnull]) == 0
 
 
-def test_report_bytes_do_not_depend_on_the_blas_thread_count():
+_RUN_ALL = """
+import json, sys
+from stabkit import cli
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    if cli.main(argv + ["--out", f"{sys.argv[2]}/{i}"]) != 0:
+        sys.exit(f"exit != 0: {argv}")
+"""
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # Importing stabkit pins OpenBLAS to one thread.  Unpinned, two threads
     # split the BLAS dot in gamma and the solvers' products, and moved the last
-    # digits of gamma (t_tensor, n = 8) and of theta's bracket.
-    for argv, golden in [
-        (["gamma", "--kind", "t_tensor", "--n", "8", "--exact"], None),
-        (["extract", "--kind", "t_tensor", "--n", "8", "--seed", "5"], "extract_t_tensor_n8_s5.json"),
-        (["uncertainty", "--kind", "haar", "--n", "6", "--random-labels", "64", "--seed", "5"], None),
-    ]:
-        two, one = (_stabkit(argv, threads) for threads in ("2", "1"))
-        assert two.returncode == one.returncode == 0
-        assert two.stdout == one.stdout
+    # digits of gamma (t_tensor, n = 8) and of theta's bracket.  One process
+    # per thread count runs every golden command and the README's solvers.
+    commands = GOLDEN_COMMANDS + [
+        (None, ["gamma", "--kind", "t_tensor", "--n", "8", "--exact"]),
+        (None, ["uncertainty", "--kind", "haar", "--n", "6", "--random-labels", "64", "--seed", "5"]),
+        (None, ["theta", "--pauli-graph", "2", "--tol", "1e-6"]),
+        (None, ["uncertainty", "--kind", "haar", "--n", "3", "--random-labels", "12", "--seed", "5"]),
+    ]
+    argvs = json.dumps([argv for _, argv in commands])
+    for threads in ("2", "1"):
+        (tmp_path / threads).mkdir()
+        env = {**os.environ, "PYTHONPATH": _SRC, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, argvs, str(tmp_path / threads)],
+                              capture_output=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+    for i, (golden, argv) in enumerate(commands):
+        two, one = ((tmp_path / threads / str(i)).read_bytes() for threads in ("2", "1"))
+        assert two == one, argv
         if golden:
-            assert one.stdout == (GOLDEN / golden).read_bytes()
+            assert one == (GOLDEN / golden).read_bytes(), argv

@@ -299,6 +299,45 @@ def test_stabilizer_circuit_redraws_a_rejected_draw_as_numpy_does(n, word):
     assert_same_generator(rng, ref_rng)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_consecutive_states_from_one_generator_match_the_reference(n, monkeypatch):
+    # Each state's last bulk draw must end on its last word: a word left over
+    # or drawn twice would shift every later state on the stream.
+    for kind in ("stabilizer", "noisy_stabilizer"):
+        rng, ref_rng = np.random.default_rng(40 + n), np.random.default_rng(40 + n)
+        for _ in range(3):
+            got = generate_state(kind, n, noise=0.3, rng=rng).amplitudes
+            want = reference_generate_state(monkeypatch, kind, n, ref_rng).amplitudes
+            assert got.tobytes() == want.tobytes(), kind
+            assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+        assert_same_generator(rng, ref_rng)
+
+
+class CountingGenerator:
+    """A generator that counts its ``integers`` calls and forwards everything."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_stabilizer_circuit_draws_its_words_in_a_few_bulk_calls():
+    # An n = 4 circuit reads about 850 words; drawn one by one they were 850
+    # calls.  Each bulk call asks for a lower bound on the words still needed.
+    for seed in range(20):
+        rng, ref_rng = CountingGenerator(np.random.default_rng(seed)), np.random.default_rng(seed)
+        got = state_module._random_clifford_state(4, rng).amplitudes
+        assert got.tobytes() == reference_clifford_state(4, ref_rng).tobytes()
+        assert 1 <= rng.calls <= 8, seed
+        assert_same_generator(rng.rng, ref_rng)
+
+
 def test_purestate_validation():
     with pytest.raises(ValidationError):
         PureState(np.array([1, 1], dtype=complex), 1)  # unnormalized, not renormalized
